@@ -152,17 +152,9 @@ impl CutArena {
         }
         self.update_prepare(aig, delta, params);
         let n = aig.num_nodes();
-        let levels = match params.rank {
-            CutRank::Depth => aig.levels(),
-            _ => Vec::new(),
-        };
-        let mut coster = |_root: NodeId, leaves: &[NodeId], _tt: u64| match params.rank {
-            CutRank::Size => (leaves.len() as u32, 0),
-            CutRank::Depth => {
-                let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-                (depth, leaves.len() as u32)
-            }
-            CutRank::Arrival => unreachable!(),
+        let levels = builtin_levels(aig, params.rank);
+        let mut coster = |_root: NodeId, leaves: &[NodeId], _tt: u64| {
+            builtin_cost(params.rank, &levels, leaves)
         };
         let mut seed = vec![false; n];
         for d in delta.dirty() {
@@ -216,158 +208,6 @@ impl CutArena {
             }
             changed[i] = true;
             self.splice(id, &tmp_cuts, &tmp_leaves);
-        }
-    }
-
-    /// [`CutArena::update`] with the per-level recomputation sharded
-    /// across `jobs` worker threads (`0` resolves through
-    /// [`threadpool::Jobs`]; `1` is exactly the sequential engine).
-    ///
-    /// Dirty nodes are grouped by topological level; within a level no
-    /// node's cuts depend on another's, so workers recompute disjoint
-    /// chunks against the shared arena and the caller compares and
-    /// splices the results back in ascending node order — the same
-    /// guarantee shape as [`enumerate_cuts_with_jobs`]: per-node cut
-    /// lists are identical to the sequential engine's (and therefore
-    /// to from-scratch enumeration) for any job count. Falls back to
-    /// the sequential engine when the edited graph is no longer
-    /// topological in id order.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CutArena::update`].
-    pub fn update_jobs(&mut self, aig: &Aig, delta: &EditDelta, params: CutParams, jobs: usize) {
-        assert!(
-            params.rank != CutRank::Arrival,
-            "CutRank::Arrival needs a cost oracle; incremental update supports builtin ranks"
-        );
-        let jobs = threadpool::Jobs::resolve(jobs);
-        if jobs <= 1 || !cntfet_boolfn::cache::enabled() {
-            return self.update(aig, delta, params);
-        }
-        let n = aig.num_nodes();
-
-        // Rank nodes so every AND sits strictly above both fanins; the
-        // level shards below only run nodes of equal rank concurrently.
-        // An edited graph may reference later-appended fanins — fall
-        // back to the sequential engine then (it emulates the
-        // from-scratch empty-span convention those graphs need).
-        let mut rank = vec![0u32; n];
-        for id in aig.node_ids() {
-            if !aig.is_and(id) {
-                continue;
-            }
-            let (f0, f1) = aig.fanins(id);
-            let (i0, i1) = (f0.node().index(), f1.node().index());
-            if i0 >= id.index() || i1 >= id.index() {
-                return self.update(aig, delta, params);
-            }
-            rank[id.index()] = 1 + rank[i0].max(rank[i1]);
-        }
-        self.update_prepare(aig, delta, params);
-        let levels = match params.rank {
-            CutRank::Depth => aig.levels(),
-            _ => Vec::new(),
-        };
-        let mut seed = vec![false; n];
-        for d in delta.dirty() {
-            seed[d.index()] = true;
-        }
-        let mut changed = vec![false; n];
-
-        // (rank, id)-sorted node list; each rank is one contiguous
-        // segment and ids stay ascending inside it.
-        let mut sorted: Vec<NodeId> = aig.node_ids().collect();
-        sorted.sort_by_key(|id| (rank[id.index()], id.index()));
-        let mut segments: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut seg_start = 0;
-        for i in 1..=sorted.len() {
-            if i == sorted.len() || rank[sorted[i].index()] != rank[sorted[seg_start].index()] {
-                segments.push(seg_start..i);
-                seg_start = i;
-            }
-        }
-
-        let rank_kind = params.rank;
-        let levels_ref = &levels;
-        let make_coster = move || {
-            move |_root: NodeId, leaves: &[NodeId], _tt: u64| match rank_kind {
-                CutRank::Size => (leaves.len() as u32, 0),
-                CutRank::Depth => {
-                    let depth = leaves.iter().map(|l| levels_ref[l.index()]).max().unwrap_or(0);
-                    (depth, leaves.len() as u32)
-                }
-                CutRank::Arrival => unreachable!(),
-            }
-        };
-
-        for seg in &segments {
-            let cand: Vec<NodeId> = sorted[seg.clone()]
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    seed[id.index()]
-                        || (aig.is_and(id) && {
-                            let (f0, f1) = aig.fanins(id);
-                            changed[f0.node().index()] || changed[f1.node().index()]
-                        })
-                })
-                .collect();
-            if cand.is_empty() {
-                continue;
-            }
-            let outbox: Mutex<Vec<(usize, NodeRes)>> = Mutex::new(Vec::new());
-            {
-                let arena = &*self;
-                let (cand, outbox, make_coster) = (&cand, &outbox, &make_coster);
-                threadpool::scope(jobs, |s| {
-                    for r in threadpool::split_even(cand.len(), jobs) {
-                        if r.is_empty() {
-                            continue;
-                        }
-                        let base = r.start;
-                        let ids = &cand[r];
-                        s.spawn(move || {
-                            let mut coster = make_coster();
-                            let mut sc = NodeScratch::default();
-                            let mut local: Vec<(usize, NodeRes)> = Vec::new();
-                            for (di, &id) in ids.iter().enumerate() {
-                                if !aig.is_and(id) {
-                                    continue;
-                                }
-                                compute_node_cuts(
-                                    arena,
-                                    aig,
-                                    id,
-                                    params.max_cuts,
-                                    &mut coster,
-                                    &mut sc,
-                                );
-                                let (mut leaves, mut cuts) = (Vec::new(), Vec::new());
-                                rebase_scratch(&sc, &mut leaves, &mut cuts);
-                                local.push((base + di, NodeRes { leaves, cuts }));
-                            }
-                            outbox.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-                        });
-                    }
-                });
-            }
-            // Compare and splice in ascending node order — the only
-            // arena mutation, after every worker has finished reading.
-            let mut batch = outbox.into_inner().unwrap_or_else(PoisonError::into_inner);
-            batch.sort_by_key(|(p, _)| *p);
-            let mut results = batch.into_iter().peekable();
-            for (pos, &id) in cand.iter().enumerate() {
-                let (cuts, leaves) = match results.next_if(|&(p, _)| p == pos) {
-                    Some((_, res)) => (res.cuts, res.leaves),
-                    None => (Vec::new(), Vec::new()),
-                };
-                if self.stored_equals(id, &cuts, &leaves) {
-                    continue;
-                }
-                changed[id.index()] = true;
-                self.splice(id, &cuts, &leaves);
-            }
         }
     }
 
@@ -742,24 +582,7 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 /// [`CutRank::Arrival`] — arrival ranking needs the external cost
 /// oracle of [`enumerate_cuts_custom`].
 pub fn enumerate_cuts_with(aig: &Aig, params: CutParams) -> CutArena {
-    assert!(
-        params.rank != CutRank::Arrival,
-        "CutRank::Arrival needs a cost oracle; use enumerate_cuts_custom"
-    );
-    let levels = match params.rank {
-        CutRank::Size => Vec::new(),
-        CutRank::Depth => aig.levels(),
-        CutRank::Arrival => unreachable!(),
-    };
-    let mut builtin = |_root: NodeId, leaves: &[NodeId], _tt: u64| match params.rank {
-        CutRank::Size => (leaves.len() as u32, 0),
-        CutRank::Depth => {
-            let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-            (depth, leaves.len() as u32)
-        }
-        CutRank::Arrival => unreachable!(),
-    };
-    enumerate_impl(aig, params, &mut builtin)
+    enumerate_cuts_with_jobs(aig, params, 1)
 }
 
 /// [`enumerate_cuts_with`] under an external ranking oracle: `cost` is
@@ -786,16 +609,23 @@ where
     enumerate_impl(aig, params, &mut cost)
 }
 
+/// AND count from which [`enumerate_cuts_with_jobs`] shards the
+/// enumeration across workers. Below it the fork/join cost outweighs
+/// the work, so smaller graphs always run sequentially. The gate reads
+/// only the graph, never the worker count.
+pub const PAR_MIN_ANDS: usize = 1000;
+
 /// [`enumerate_cuts_with`] sharded across `jobs` worker threads (`0`
-/// resolves through [`threadpool::Jobs`]; `1` is exactly the
-/// sequential engine).
+/// resolves through [`threadpool::Jobs`]) on graphs of at least
+/// [`PAR_MIN_ANDS`] ANDs; smaller graphs and `jobs == 1` run the
+/// sequential pass.
 ///
 /// Nodes are grouped by topological level; within a level no node's
 /// cuts depend on another's, so workers enumerate disjoint node chunks
 /// against a read-locked snapshot of the arena and the caller splices
 /// the results back in ascending node order. Every node's cut list —
 /// leaves, functions, costs, rank order — is identical to the
-/// sequential engine's for any job count, so consumers (mapping,
+/// sequential pass's for any job count, so consumers (mapping,
 /// rewriting) produce the same result either way; only the arena's
 /// internal storage order may differ.
 ///
@@ -807,57 +637,35 @@ pub fn enumerate_cuts_with_jobs(aig: &Aig, params: CutParams, jobs: usize) -> Cu
         params.rank != CutRank::Arrival,
         "CutRank::Arrival needs a cost oracle; use enumerate_cuts_custom"
     );
-    let jobs = threadpool::Jobs::resolve(jobs);
+    let levels = builtin_levels(aig, params.rank);
+    let cost = |_root: NodeId, leaves: &[NodeId], _tt: u64| builtin_cost(params.rank, &levels, leaves);
+    let jobs = if aig.num_ands() >= PAR_MIN_ANDS { threadpool::Jobs::resolve(jobs) } else { 1 };
     if jobs <= 1 {
-        return enumerate_cuts_with(aig, params);
+        return enumerate_impl(aig, params, &mut { cost });
     }
-    let levels = match params.rank {
-        CutRank::Depth => aig.levels(),
-        _ => Vec::new(),
-    };
-    let (levels, rank) = (&levels, params.rank);
-    enumerate_impl_par(aig, params, jobs, &move || {
-        move |_root: NodeId, leaves: &[NodeId], _tt: u64| match rank {
-            CutRank::Size => (leaves.len() as u32, 0),
-            CutRank::Depth => {
-                let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
-                (depth, leaves.len() as u32)
-            }
-            CutRank::Arrival => unreachable!(),
-        }
-    })
+    enumerate_impl_par(aig, params, jobs, &cost)
 }
 
-/// [`enumerate_cuts_custom`] sharded across `jobs` worker threads (`0`
-/// resolves through [`threadpool::Jobs`]). Because workers rank cuts
-/// concurrently, the oracle is supplied as a *factory*: `make_coster`
-/// runs once per worker chunk to build that worker's private oracle
-/// (e.g. a library matcher with its own memo table). The factory must
-/// be pure — every oracle it builds must return the same cost for the
-/// same `(root, leaves, function)` query — or the parallel result will
-/// not match the sequential one.
-///
-/// With `jobs ≤ 1` this is exactly [`enumerate_cuts_custom`].
-///
-/// # Panics
-///
-/// Panics if `params.k < 2`.
-pub fn enumerate_cuts_custom_jobs<C, F>(
-    aig: &Aig,
-    params: CutParams,
-    jobs: usize,
-    make_coster: C,
-) -> CutArena
-where
-    C: Fn() -> F + Sync,
-    F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
-{
-    let jobs = threadpool::Jobs::resolve(jobs);
-    if jobs <= 1 {
-        let mut coster = make_coster();
-        return enumerate_impl(aig, params, &mut coster);
+/// Level array the builtin `rank` reads (empty unless it is
+/// [`CutRank::Depth`]).
+fn builtin_levels(aig: &Aig, rank: CutRank) -> Vec<u32> {
+    match rank {
+        CutRank::Depth => aig.levels(),
+        _ => Vec::new(),
     }
-    enumerate_impl_par(aig, params, jobs, &make_coster)
+}
+
+/// Ranking cost of a cut under a builtin `rank`: `(size, 0)` for
+/// [`CutRank::Size`], `(depth, size)` for [`CutRank::Depth`].
+fn builtin_cost(rank: CutRank, levels: &[u32], leaves: &[NodeId]) -> (u32, u32) {
+    match rank {
+        CutRank::Size => (leaves.len() as u32, 0),
+        CutRank::Depth => {
+            let depth = leaves.iter().map(|l| levels[l.index()]).max().unwrap_or(0);
+            (depth, leaves.len() as u32)
+        }
+        CutRank::Arrival => unreachable!(),
+    }
 }
 
 /// A cut-ranking oracle: `(root, sorted leaves, function word) →
@@ -1049,10 +857,9 @@ struct NodeRes {
     cuts: Vec<CutData>,
 }
 
-fn enumerate_impl_par<C, F>(aig: &Aig, params: CutParams, jobs: usize, make_coster: &C) -> CutArena
+fn enumerate_impl_par<F>(aig: &Aig, params: CutParams, jobs: usize, cost: &F) -> CutArena
 where
-    C: Fn() -> F + Sync,
-    F: FnMut(NodeId, &[NodeId], u64) -> (u32, u32),
+    F: Fn(NodeId, &[NodeId], u64) -> (u32, u32) + Sync,
 {
     let CutParams { k, max_cuts, .. } = params;
     assert!(k >= 2, "cut size must be at least 2");
@@ -1071,8 +878,7 @@ where
         let (f0, f1) = aig.fanins(id);
         let (i0, i1) = (f0.node().index(), f1.node().index());
         if i0 >= id.index() || i1 >= id.index() {
-            let mut coster = make_coster();
-            return enumerate_impl(aig, params, &mut coster);
+            return enumerate_impl(aig, params, &mut { cost });
         }
         rank[id.index()] = 1 + rank[i0].max(rank[i1]);
     }
@@ -1104,7 +910,7 @@ where
                 s.spawn(move || {
                     let guard = shared.read().unwrap_or_else(PoisonError::into_inner);
                     let arena = &*guard;
-                    let mut coster = make_coster();
+                    let mut coster = cost;
                     let mut sc = NodeScratch::default();
                     let mut local: Vec<(usize, NodeRes)> = Vec::new();
                     for (di, &id) in ids.iter().enumerate() {
@@ -1112,22 +918,8 @@ where
                             continue;
                         }
                         compute_node_cuts(arena, aig, id, max_cuts, &mut coster, &mut sc);
-                        let mut leaves = Vec::new();
-                        let mut cuts = Vec::with_capacity(sc.order.len());
-                        for &i in &sc.order {
-                            let s = sc.scuts[i];
-                            let off = leaves.len() as u32;
-                            leaves.extend_from_slice(
-                                &sc.sleaves[s.off as usize..(s.off + s.len as u32) as usize],
-                            );
-                            cuts.push(CutData {
-                                off,
-                                len: s.len,
-                                sig: s.sig,
-                                tt: s.tt,
-                                cost: s.cost,
-                            });
-                        }
+                        let (mut leaves, mut cuts) = (Vec::new(), Vec::new());
+                        rebase_scratch(&sc, &mut leaves, &mut cuts);
                         local.push((base + di, NodeRes { leaves, cuts }));
                     }
                     drop(guard);
@@ -1468,8 +1260,7 @@ mod tests {
         }
     }
 
-    /// A reconvergent multi-level circuit wide enough that level
-    /// shards actually split across several workers.
+    /// A small reconvergent multi-level circuit.
     fn reconvergent_aig() -> Aig {
         let mut g = Aig::new("reconv");
         let pis = g.add_pis(10);
@@ -1504,9 +1295,31 @@ mod tests {
         }
     }
 
+    /// A seeded random DAG of about 2000 ANDs over 48 PIs — above
+    /// [`PAR_MIN_ANDS`], so `enumerate_cuts_with_jobs` really shards.
+    fn large_random_aig() -> Aig {
+        let mut g = Aig::new("large");
+        let mut pool = g.add_pis(48);
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        while g.num_ands() < 2000 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let a = pool[(seed >> 20) as usize % pool.len()];
+            let b = pool[(seed >> 40) as usize % pool.len()];
+            let l = g.and(a.negate_if(seed & 1 == 1), b.negate_if(seed & 2 == 2));
+            if !l.is_const() {
+                pool.push(l);
+            }
+        }
+        for &l in pool.iter().rev().take(16) {
+            g.add_po(l);
+        }
+        g
+    }
+
     #[test]
     fn parallel_enumeration_matches_sequential_per_node() {
-        let g = reconvergent_aig();
+        let g = large_random_aig();
+        assert!(g.num_ands() >= PAR_MIN_ANDS, "graph below the parallel cutoff");
         for rank in [CutRank::Size, CutRank::Depth] {
             let params = CutParams { k: 4, max_cuts: 6, rank };
             let seq = enumerate_cuts_with(&g, params);
@@ -1514,20 +1327,6 @@ mod tests {
                 let par = enumerate_cuts_with_jobs(&g, params, jobs);
                 assert_same_per_node(&g, &seq, &par);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_custom_oracle_matches_sequential() {
-        let g = reconvergent_aig();
-        let params = CutParams { k: 4, max_cuts: 5, rank: CutRank::Arrival };
-        let oracle = |_root: NodeId, leaves: &[NodeId], tt: u64| {
-            (tt.count_ones() + leaves.len() as u32, leaves.iter().map(|l| l.index() as u32).sum())
-        };
-        let seq = enumerate_cuts_custom(&g, params, oracle);
-        for jobs in [2, 4] {
-            let par = enumerate_cuts_custom_jobs(&g, params, jobs, || oracle);
-            assert_same_per_node(&g, &seq, &par);
         }
     }
 
@@ -1600,41 +1399,15 @@ mod tests {
     }
 
     #[test]
-    fn update_jobs_matches_scratch_on_topological_edit() {
-        // Replacing by an already-present lower-id node keeps the
-        // graph topological in id order, so the sharded path runs
-        // (rather than falling back to the sequential engine).
-        let params = CutParams { k: 4, max_cuts: 6, rank: CutRank::Size };
-        let mut g = Aig::new("t");
-        let p = g.add_pis(3);
-        let a1 = g.and(p[0], p[1]);
-        let top1 = g.and(a1, p[2]);
-        let a2 = g.and(p[0], p[1].negate());
-        let top2 = g.and(a2, p[2]);
-        g.add_po(top1);
-        g.add_po(top2);
-        let pre = enumerate_cuts_with(&g, params);
-        g.begin_edit();
-        g.replace_node(a2.node(), a1);
-        let delta = g.end_edit();
-        let scratch = enumerate_cuts_with(&g, params);
-        for jobs in [1, 2, 4] {
-            let mut arena = pre.clone();
-            arena.update_jobs(&g, &delta, params, jobs);
-            assert_same_per_node(&g, &scratch, &arena);
-        }
-    }
-
-    #[test]
     fn update_matches_scratch_on_larger_session() {
         // Several re-associations in one session over a reconvergent
         // graph: cascades may merge or kill nodes collected earlier,
         // and the delta must still drive the arena to the from-scratch
-        // fixpoint — sequentially and sharded.
+        // fixpoint.
         for rank in [CutRank::Size, CutRank::Depth] {
             let params = CutParams { k: 4, max_cuts: 6, rank };
             let mut g = reconvergent_aig();
-            let pre = enumerate_cuts_with(&g, params);
+            let mut arena = enumerate_cuts_with(&g, params);
             g.begin_edit();
             let ands: Vec<NodeId> = g.and_ids().collect();
             let mut done = 0;
@@ -1658,15 +1431,8 @@ mod tests {
             }
             assert!(done > 0, "expected at least one re-association");
             let delta = g.end_edit();
-            let scratch = enumerate_cuts_with(&g, params);
-            let mut seq = pre.clone();
-            seq.update(&g, &delta, params);
-            assert_same_per_node(&g, &scratch, &seq);
-            for jobs in [2, 4] {
-                let mut par = pre.clone();
-                par.update_jobs(&g, &delta, params, jobs);
-                assert_same_per_node(&g, &scratch, &par);
-            }
+            arena.update(&g, &delta, params);
+            assert_same_per_node(&g, &enumerate_cuts_with(&g, params), &arena);
         }
     }
 

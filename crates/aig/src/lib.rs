@@ -11,7 +11,9 @@
 //!   [`CutArena`] with the k-feasible cuts of every node under the
 //!   [`CutParams`] knobs (cut size, cuts per node, [`CutRank`]).
 //!   For `k ≤ 6` every cut carries its function as one `u64` word,
-//!   computed during enumeration. [`enumerate_cuts_custom`] swaps the
+//!   computed during enumeration; [`enumerate_cuts_with_jobs`] shards
+//!   it across workers on graphs of at least [`PAR_MIN_ANDS`] ANDs.
+//!   [`enumerate_cuts_custom`] swaps the
 //!   builtin size/depth ranking for an external cost oracle — how
 //!   technology mapping ranks cuts by *mapped arrival* of their best
 //!   library match ([`CutRank::Arrival`]).
@@ -95,8 +97,8 @@ pub use cec::{
     CecResult,
 };
 pub use cuts::{
-    cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_custom_jobs,
-    enumerate_cuts_with, enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView,
+    cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_with,
+    enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView, PAR_MIN_ANDS,
 };
 pub use edit::EditDelta;
 pub use graph::{Aig, CompactMap, Lit, NodeId};

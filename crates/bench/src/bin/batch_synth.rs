@@ -12,21 +12,21 @@
 //!     --objective area|delay|balanced     covering objective (default balanced)
 //!     --no-verify                         skip CEC of every mapping
 //!     --jobs N                            batch-level worker threads (default CNTFET_JOBS/cores)
-//!     --inner-jobs N                      per-circuit engine threads (default: same as --jobs)
+//!     --inner-jobs N                      per-circuit cut-enumeration threads (default: same as --jobs)
 //!     --repeat N                          passes over the batch (default 2: cold+warm)
 //!     --max-ands N                        admission budget per request
 //!     --export-suite DIR                  write the suite as .aag/.aig into DIR, exit
 //! ```
 //!
 //! The two job knobs compose: `--jobs` fans circuits over the batch
-//! pool, while each circuit's own engines (synthesis sweeps, cut
-//! enumeration, covering, SAT sweeping) spawn their *own* workers.
-//! Without a bound that nests to `jobs × jobs` threads; `--inner-jobs`
-//! caps the per-circuit engine count so a wide batch can pin
-//! `--inner-jobs 1` and stay at exactly `--jobs` threads. Results are
-//! bit-identical for every combination — the engines are
-//! deterministic at any worker count — so the knobs trade nothing but
-//! scheduling.
+//! pool. Inside a circuit the engines are single-threaded except cut
+//! enumeration on graphs of at least `cntfet_aig::PAR_MIN_ANDS` ANDs,
+//! which spawns its *own* workers; without a bound that nests to
+//! `jobs × jobs` threads. `--inner-jobs` caps that per-circuit count,
+//! so a wide batch can pin `--inner-jobs 1` and stay at exactly
+//! `--jobs` threads. Results are bit-identical for every combination
+//! and the result caches ignore the worker count, so the knobs trade
+//! nothing but scheduling.
 //!
 //! Pass 1 is the cold run; later passes are answered from the result
 //! cache, which is where the warm ≥ 2× cold throughput recorded in
@@ -99,8 +99,8 @@ fn main() {
     }
     // The batch fan-out count is pinned before the workspace default
     // is overridden, so `--inner-jobs` bounds only the per-circuit
-    // engines (which resolve through the default); without it the
-    // engines inherit `--jobs`, the historical behavior.
+    // cut enumeration (which resolves through the default); without it
+    // the circuits inherit `--jobs`.
     let outer = threadpool::Jobs::resolve(jobs);
     if inner_jobs > 0 {
         threadpool::Jobs::set(inner_jobs);

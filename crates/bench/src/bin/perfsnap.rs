@@ -5,9 +5,10 @@
 //! behaviour of the whole suite synthesis and dirty-region
 //! cut-enumeration updates vs from-scratch re-enumeration), the batch
 //! synthesis service (cold vs warm throughput), and (new in PR 10)
-//! the intra-circuit parallel engines: partition-parallel synthesis
-//! and parallel covering scaling rows at several worker counts, plus
-//! the persistent cut arena carried across a compaction (`rebase` vs
+//! synthesis and covering scaling rows at several worker counts
+//! (inside a circuit only the mapper's cut enumeration on large graphs
+//! runs on several workers), plus the persistent cut arena carried
+//! across a compaction (`rebase` vs
 //! re-enumeration) — and writes the numbers to `BENCH_PR10.json` in
 //! the current directory. The JSON continues the bench trajectory the
 //! ROADMAP asks for: `BENCH_PR3.json` records the verification
@@ -266,11 +267,11 @@ fn main() {
     let deterministic = report1 == report2 && report1 == report4 && report1 == report_all;
     assert!(deterministic, "suite reports diverged across worker counts");
 
-    // --- partition-parallel synthesis scaling (PR 10) ---
+    // --- synthesis scaling ---
     // One cold `resyn2rs` of the suite's biggest graph per worker
-    // count. The evaluate-parallel / commit-sequential sweeps must
-    // return the bit-identical graph at every count; the wall times
-    // say whatever this machine's cores let them say.
+    // count. Synthesis must return the bit-identical graph at every
+    // count; the wall times say whatever this machine's cores let them
+    // say.
     println!("perfsnap: synthesis scaling on des-like...");
     let synth_at = |jobs: usize| {
         clear_result_caches();
@@ -286,13 +287,11 @@ fn main() {
     threadpool::Jobs::set(0);
     let synth_scaling_identical =
         synth_fp1 == synth_fp2 && synth_fp1 == synth_fp4 && synth_fp1 == synth_fp_all;
-    assert!(synth_scaling_identical, "parallel synthesis diverged across worker counts");
+    assert!(synth_scaling_identical, "synthesis diverged across worker counts");
 
-    // --- parallel covering scaling (PR 10) ---
+    // --- covering scaling ---
     // One cold technology mapping of the synthesized des-like graph
-    // per worker count: rank-parallel forward/area-flow passes plus
-    // speculate/validate exact-area recovery must pick the identical
-    // cover, gate for gate.
+    // per worker count must pick the identical cover, gate for gate.
     println!("perfsnap: covering scaling on des-like...");
     let des_opt = resyn2rs(&des_src);
     let map_at = |jobs: usize| {
@@ -306,7 +305,7 @@ fn main() {
     let (map_des_j4_ms, cover4) = map_at(4);
     let (map_des_jall_ms, cover_all) = map_at(0);
     let cover_scaling_identical = cover1 == cover2 && cover1 == cover4 && cover1 == cover_all;
-    assert!(cover_scaling_identical, "parallel covering diverged across worker counts");
+    assert!(cover_scaling_identical, "covering diverged across worker counts");
 
     // --- batch synthesis service (PR 9): cold vs warm throughput ---
     // The full 15-circuit suite through `SynthService::process_batch`,
@@ -364,7 +363,7 @@ fn main() {
     let json = format!(
         r#"{{
   "pr": 10,
-  "description": "Parallel covering + partition-parallel rewriting, with the incremental cut arena surviving compaction: rank-parallel forward/area-flow covering passes, windowed speculate/validate exact-area recovery, evaluate-parallel/commit-sequential synthesis sweeps, and Script-owned arenas rebased across compaction — all bit-identical at every worker count",
+  "description": "Synthesis and covering scaling across worker counts (engines single-threaded except cut enumeration on graphs of at least 1000 ANDs), with Script-owned cut arenas rebased across compaction — all bit-identical at every worker count",
   "service": {{
     "requests": {n_requests},
     "verify": false,

@@ -3,7 +3,7 @@
 //! timing, and an optional CEC self-check after every pass.
 
 use cntfet_aig::{
-    enumerate_cuts_with_jobs, equivalent, Aig, CompactMap, CutArena, CutParams, EditDelta,
+    enumerate_cuts_with, equivalent, Aig, CompactMap, CutArena, CutParams, EditDelta,
 };
 use std::time::{Duration, Instant};
 
@@ -79,7 +79,7 @@ pub trait Pass {
 
 /// Script-owned state threaded through every pass: persistent
 /// [`CutArena`]s keyed by their [`CutParams`], kept consistent with
-/// the graph across edits (via [`CutArena::update_jobs`]) and
+/// the graph across edits (via [`CutArena::update`]) and
 /// compactions (via [`CutArena::rebase`] over the [`CompactMap`]).
 ///
 /// The context is *purely a cache*: an arena handed out by
@@ -135,7 +135,7 @@ impl PassCtx {
         if let Some(i) = self.arenas.iter().position(|(p, _)| *p == params) {
             return self.arenas.swap_remove(i).1;
         }
-        enumerate_cuts_with_jobs(aig, params, 0)
+        enumerate_cuts_with(aig, params)
     }
 
     /// Stores an arena for later passes (no-op for ephemeral contexts
@@ -153,7 +153,7 @@ impl PassCtx {
     /// (`aig` is the edited, not-yet-compacted graph).
     pub(crate) fn absorb(&mut self, aig: &Aig, delta: &EditDelta) {
         for (p, a) in &mut self.arenas {
-            a.update_jobs(aig, delta, *p, 0);
+            a.update(aig, delta, *p);
         }
     }
 

@@ -64,11 +64,10 @@ impl Default for SynthOptions {
 /// Everything that determines a synthesis outcome: the input's
 /// structural fingerprint, the full options and the script kind
 /// (`0` = resyn2rs, `1` = quick). The worker count is deliberately
-/// *not* part of the key: the in-place engine's parallel sweeps are
-/// evaluate-parallel / commit-sequential (see [`crate::par`]) and
-/// produce bit-identical graphs at every worker count (asserted by
-/// the workspace `determinism` tests), and the seed engine never
-/// spawns workers — so one cached result serves every `jobs` setting.
+/// *not* part of the key: synthesis runs on the calling thread, so
+/// synthesized graphs are bit-identical at every worker count
+/// (asserted by the workspace `determinism` tests) and one cached
+/// result serves every `jobs` setting.
 type SynthKey = (u128, SynthOptions, u8);
 
 /// The process-wide synthesis result cache: optimized graphs keyed by

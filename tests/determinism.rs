@@ -1,11 +1,15 @@
-//! Workspace determinism tests: every parallel engine must produce
-//! results identical to its sequential counterpart — same mapped
-//! covers, same sweep verdicts and solver statistics, same suite
-//! reports — for every worker count. Parallelism is allowed to change
-//! wall time and nothing else.
+//! Workspace determinism tests: the worker count must not change any
+//! result — same mapped covers, same synthesized graphs, same suite
+//! reports with their SAT counters. Inside one circuit only the
+//! mapper's cut enumeration on graphs of at least [`PAR_MIN_ANDS`]
+//! ANDs runs on several workers, so the cover case includes a graph
+//! above that cutoff; the suite fans circuits out across workers.
+//! Result caches are cleared between runs, since their keys hold no
+//! worker count.
 
-use cntfet_aig::{check_equivalence_sweeping_report, equivalent, Aig, CecResult, SweepOptions};
-use cntfet_bench::run_suite_with;
+use cntfet_aig::{equivalent, Aig, CecResult, PAR_MIN_ANDS};
+use cntfet_bench::{clear_result_caches, run_suite_with};
+use cntfet_circuits::array_multiplier;
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, Script};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, Objective};
@@ -40,6 +44,7 @@ fn random_aig(num_pis: usize, script: &[(u8, u16, u16)]) -> Aig {
 #[test]
 fn suite_report_identical_across_worker_counts() {
     let run = |jobs: usize| {
+        clear_result_caches();
         threadpool::Jobs::set(jobs);
         let rows = run_suite_with(true, Some(&["add-16", "C1355"]), MapOptions::default());
         threadpool::Jobs::set(0);
@@ -53,8 +58,7 @@ fn suite_report_identical_across_worker_counts() {
 }
 
 /// A deterministic pseudo-random op script for the larger determinism
-/// fixtures (big enough that the partition-parallel passes actually
-/// take their parallel path).
+/// fixtures.
 fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
     (0..len)
         .map(|_| {
@@ -64,12 +68,10 @@ fn big_script(len: usize, mut seed: u64) -> Vec<(u8, u16, u16)> {
         .collect()
 }
 
-/// Partition-parallel rewriting/refactoring commits the exact same
-/// replacement sequence the sequential sweep does: the synthesized
-/// graph is bit-identical (stats + structural fingerprint) at every
-/// worker count, and stays equivalent to its source. Drives the
-/// `Script` runner directly so no result cache can short-circuit the
-/// comparison.
+/// The synthesized graph is bit-identical (stats + structural
+/// fingerprint) at every worker count, and stays equivalent to its
+/// source. Drives the `Script` runner directly so no result cache can
+/// short-circuit the comparison.
 #[test]
 fn synth_identical_across_worker_counts() {
     for seed in [0x5EED_0001u64, 0x5EED_0002] {
@@ -101,24 +103,30 @@ fn synth_identical_across_worker_counts() {
     }
 }
 
-/// Parallel covering — rank-parallel forward/area-flow passes plus
-/// windowed speculate/validate exact-area recovery — selects the
-/// exact cover the sequential engine does, gate for gate, on graphs
-/// large enough that every parallel covering path actually fans out
-/// (the [`Objective::Area`] cases drive multiple exact-area
-/// speculation windows; the CMOS case drives phase tracking).
+/// Mapping selects the same cover, gate for gate, at every worker
+/// count. The 16-bit multiplier (2336 ANDs, every node in an output
+/// cone) is above the parallel cut-enumeration cutoff; the random
+/// graphs cover every objective and family (the CMOS case drives
+/// phase tracking).
 #[test]
 fn cover_identical_across_worker_counts() {
+    let mult = array_multiplier(16);
+    assert!(mult.num_ands() >= PAR_MIN_ANDS, "multiplier below the parallel cutoff");
     let cases = [
-        (LogicFamily::TgStatic, Objective::Area, 0xC0FE_0001u64),
-        (LogicFamily::TgStatic, Objective::Delay, 0xC0FE_0002),
-        (LogicFamily::TgPseudo, Objective::Area, 0xC0FE_0003),
-        (LogicFamily::CmosStatic, Objective::Balanced, 0xC0FE_0004),
+        (LogicFamily::TgStatic, Objective::Area, random_aig(8, &big_script(500, 0xC0FE_0001))),
+        (LogicFamily::TgStatic, Objective::Delay, random_aig(8, &big_script(500, 0xC0FE_0002))),
+        (LogicFamily::TgPseudo, Objective::Area, random_aig(8, &big_script(500, 0xC0FE_0003))),
+        (
+            LogicFamily::CmosStatic,
+            Objective::Balanced,
+            random_aig(8, &big_script(500, 0xC0FE_0004)),
+        ),
+        (LogicFamily::TgStatic, Objective::Balanced, mult),
     ];
-    for (family, objective, seed) in cases {
-        let g = random_aig(8, &big_script(500, seed));
+    for (family, objective, g) in cases {
         let lib = Library::new(family);
         let opts = MapOptions { objective, jobs: 1, ..MapOptions::default() };
+        clear_result_caches();
         let seq = map(&g, &lib, opts);
         assert_eq!(
             verify_mapping_report(&g, &seq, &lib).result,
@@ -126,6 +134,7 @@ fn cover_identical_across_worker_counts() {
             "{family:?}/{objective:?} sequential cover broke equivalence"
         );
         for jobs in [2usize, 4] {
+            clear_result_caches();
             let par = map(&g, &lib, MapOptions { jobs, ..opts });
             assert_eq!(
                 format!("{:?} {:?}", seq.gates, seq.pos),
@@ -166,9 +175,9 @@ fn synth_result_cache_jobs_free_key_is_sound() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Technology mapping with sharded cut enumeration selects the
-    /// exact cover the sequential engine does on arbitrary random
-    /// networks — and that cover is SAT-equivalent to its source.
+    /// Technology mapping selects the same cover at jobs 1 and 3 on
+    /// arbitrary random networks — and that cover is SAT-equivalent to
+    /// its source.
     #[test]
     fn prop_parallel_mapping_matches_sequential(
         script in proptest::collection::vec((0u8..5, 0u16..300, 0u16..300), 20..90),
@@ -178,7 +187,9 @@ proptest! {
         let lib = Library::new(LogicFamily::TgStatic);
         let objective = if delay == 1 { Objective::Delay } else { Objective::Balanced };
         let opts = MapOptions { objective, jobs: 1, ..MapOptions::default() };
+        clear_result_caches();
         let seq = map(&g, &lib, opts);
+        clear_result_caches();
         let par = map(&g, &lib, MapOptions { jobs: 3, ..opts });
         prop_assert_eq!(
             format!("{:?} {:?} {:?}", seq.gates, seq.pos, seq.stats),
@@ -188,38 +199,30 @@ proptest! {
         prop_assert_eq!(report.result, CecResult::Equivalent);
     }
 
-    /// SAT sweeping proves candidate pairs on cloned solvers without
-    /// changing a single verdict: result, internal proofs and
-    /// refinements are identical at every worker count (exhaustive
-    /// simulation disabled so the SAT path itself is what runs), and
-    /// the *full* report — solver counters included — is reproducible
-    /// run-to-run at each fixed worker count. Raw counters may differ
-    /// *between* worker counts: the sequential sweep reuses one
-    /// incrementally-learning solver, workers prove on clones.
-    #[test]
-    fn prop_parallel_sweep_matches_sequential(
-        script in proptest::collection::vec((0u8..5, 0u16..300, 0u16..300), 20..80),
-    ) {
-        let g = random_aig(7, &script);
-        let o = resyn2rs(&g);
-        let base = SweepOptions { exhaustive_pis: 0, jobs: 1, ..SweepOptions::default() };
-        let seq = check_equivalence_sweeping_report(&g, &o, &base);
-        prop_assert_eq!(seq.result, CecResult::Equivalent);
-        for jobs in [2usize, 5] {
-            let opts = SweepOptions { jobs, ..base };
-            let par = check_equivalence_sweeping_report(&g, &o, &opts);
-            prop_assert_eq!(seq.result, par.result, "verdict diverged at jobs={}", jobs);
-            prop_assert_eq!(
-                (seq.internal_proofs, seq.refinements, seq.exhaustive),
-                (par.internal_proofs, par.refinements, par.exhaustive),
-                "sweep outcome diverged at jobs={}", jobs
-            );
-            let rerun = check_equivalence_sweeping_report(&g, &o, &opts);
-            prop_assert_eq!(
-                format!("{par:?}"),
-                format!("{rerun:?}"),
-                "report not reproducible at jobs={}", jobs
-            );
-        }
-    }
+}
+
+/// SAT sweeping must not blow up with the worker count. Verifying the
+/// TG-static mapping of the synthesized 16-bit multiplier (the
+/// suite's C6288) at two workers stays within about twice the
+/// conflicts a one-worker run needs (CONFLICTS_AT_ONE_WORKER,
+/// measured); a sweep that proves candidate pairs before the
+/// equalities of their fanin cones are merged needs over a hundred
+/// times more.
+#[test]
+fn c6288_sweep_conflicts_bounded_at_two_workers() {
+    const CONFLICTS_AT_ONE_WORKER: u64 = 4312;
+    let g = array_multiplier(16);
+    let lib = Library::new(LogicFamily::TgStatic);
+    threadpool::Jobs::set(2);
+    let optimized = resyn2rs(&g);
+    let m = map(&optimized, &lib, MapOptions::default());
+    cntfet_aig::clear_cec_cache();
+    let report = verify_mapping_report(&optimized, &m, &lib);
+    threadpool::Jobs::set(0);
+    assert_eq!(report.result, CecResult::Equivalent);
+    assert!(
+        report.sat_stats.conflicts <= 2 * CONFLICTS_AT_ONE_WORKER,
+        "sweep needed {} conflicts at two workers",
+        report.sat_stats.conflicts
+    );
 }

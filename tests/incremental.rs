@@ -1,7 +1,6 @@
 //! Workspace property tests for the incrementality substrate:
 //! random edit sequences driven through [`cntfet_aig::CutArena::update`]
-//! must land on exactly the from-scratch cut lists (sequentially and
-//! sharded), an arena must survive compaction via
+//! must land on exactly the from-scratch cut lists, an arena must survive compaction via
 //! [`cntfet_aig::CutArena::rebase`] and keep absorbing deltas on the
 //! compacted graph, and the NPN canonicalization memo must agree with
 //! the direct canonicalizer on every query.
@@ -99,9 +98,8 @@ fn snapshot(g: &Aig, arena: &CutArena) -> CutSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random edit sequences through `CutArena::update` /
-    /// `update_jobs` reproduce the from-scratch enumeration exactly,
-    /// per node, at every tested worker count.
+    /// Random edit sequences through `CutArena::update` reproduce the
+    /// from-scratch enumeration exactly, per node.
     #[test]
     fn prop_incremental_cuts_match_scratch(
         script in proptest::collection::vec((0u8..6, 0u16..500, 0u16..500), 20..100),
@@ -111,7 +109,7 @@ proptest! {
         let mut g = random_aig(6, &script);
         let rank = if depth_rank { CutRank::Depth } else { CutRank::Size };
         let params = CutParams { k: 4, max_cuts: 6, rank };
-        let pre = enumerate_cuts_with(&g, params);
+        let mut arena = enumerate_cuts_with(&g, params);
 
         g.begin_edit();
         for &(op, ti) in &edits {
@@ -120,14 +118,8 @@ proptest! {
         let delta = g.end_edit();
 
         let scratch = snapshot(&g, &enumerate_cuts_with(&g, params));
-        let mut seq = pre.clone();
-        seq.update(&g, &delta, params);
-        prop_assert_eq!(&snapshot(&g, &seq), &scratch, "sequential update diverges");
-        for jobs in [1usize, 4] {
-            let mut par = pre.clone();
-            par.update_jobs(&g, &delta, params, jobs);
-            prop_assert_eq!(&snapshot(&g, &par), &scratch, "update_jobs({}) diverges", jobs);
-        }
+        arena.update(&g, &delta, params);
+        prop_assert_eq!(&snapshot(&g, &arena), &scratch, "incremental update diverges");
     }
 
     /// An arena that rides an edit session, an incremental update, a
