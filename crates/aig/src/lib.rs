@@ -17,11 +17,13 @@
 //!   builtin size/depth ranking for an external cost oracle — how
 //!   technology mapping ranks cuts by *mapped arrival* of their best
 //!   library match ([`CutRank::Arrival`]).
-//! * **Equivalence checking** — [`check_equivalence`] (plain miter
-//!   SAT) and [`check_equivalence_sweeping_with`] (fraig-style
-//!   sweeping under [`SweepOptions`], with an exhaustive-simulation
-//!   tier for ≤ 16-PI circuits) certify every synthesis and mapping
-//!   step; the `*_report` variants also return solver statistics.
+//! * **Equivalence checking** — one three-tier engine certifies every
+//!   synthesis and mapping step: exhaustive simulation for ≤ 16-PI
+//!   circuits, then fraig-style SAT sweeping, then the per-output
+//!   miter. [`check_equivalence`] runs it under default
+//!   [`SweepOptions`], [`check_equivalence_sweeping_with`] under
+//!   explicit ones, and [`check_equivalence_sweeping_report`] also
+//!   returns solver statistics.
 //!
 //! # Examples
 //!
@@ -92,10 +94,7 @@ pub use aiger::{parse_aiger, write_aiger_ascii, write_aiger_binary};
 pub use blif::{parse_blif, write_blif};
 pub use io::IoError;
 pub use check::CheckError;
-pub use cec::{
-    check_equivalence, check_equivalence_report, equivalent, sat_lit, tseitin, CecReport,
-    CecResult,
-};
+pub use cec::{check_equivalence, equivalent, sat_lit, tseitin, CecReport, CecResult};
 pub use cuts::{
     cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_with,
     enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView, PAR_MIN_ANDS,

@@ -5,7 +5,7 @@
 //! contrast to a `Vec<Vec<u64>>` per node. Simulation runs as one
 //! topological pass with the word loop innermost, so each node's
 //! signature is computed from two streaming reads — the layout the
-//! verification hot paths (CEC pre-filtering, sweeping candidate
+//! verification hot paths (the exhaustive tier, sweeping candidate
 //! detection) iterate over.
 //!
 //! Two pattern sources:

@@ -9,7 +9,9 @@
 //! proven equality is added back to the incremental solver as clauses
 //! — so later proofs ride on earlier ones, and the final output miters
 //! become trivial. Narrow-input circuits (≤ 16 PIs) skip SAT entirely:
-//! exhaustive simulation is a complete check there.
+//! exhaustive simulation is a complete check there. This is the
+//! workspace's only CEC engine; `SweepOptions { node_budget: 0, .. }`
+//! reduces it to a plain per-output miter.
 
 use crate::cec::{exhaustive_cec, sat_lit, tseitin, CecReport, CecResult};
 use crate::graph::{Aig, Lit, NodeId};
@@ -48,9 +50,8 @@ impl Default for SweepOptions {
 }
 
 /// Checks equivalence of two AIGs with identical interfaces using SAT
-/// sweeping under default [`SweepOptions`]. Functionally identical to
-/// [`crate::check_equivalence`], but scales to multiplier-class
-/// circuits.
+/// sweeping under default [`SweepOptions`] — the engine behind
+/// [`crate::check_equivalence`].
 ///
 /// # Panics
 ///
@@ -336,7 +337,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_agrees_with_plain_cec_on_structures() {
+    fn sweep_decides_xor_structures() {
         let mut a = Aig::new("a");
         let p = a.add_pis(6);
         let x = a.xor_many(&p);

@@ -31,8 +31,11 @@ fn bench_sat(c: &mut Criterion) {
     });
     let ripple = cntfet_circuits::ripple_adder(16);
     let cla = cntfet_circuits::cla_adder(16);
-    c.bench_function("cec/ripple_vs_cla_16", |b| {
-        b.iter(|| cntfet_aig::check_equivalence(black_box(&ripple), black_box(&cla)))
+    c.bench_function("cec/default/ripple_vs_cla_16", |b| {
+        b.iter(|| {
+            cntfet_aig::clear_cec_cache();
+            cntfet_aig::check_equivalence(black_box(&ripple), black_box(&cla))
+        })
     });
     let mult = cntfet_circuits::array_multiplier(8);
     c.bench_function("aig/simulate_words/mul8", |b| {

@@ -226,3 +226,26 @@ fn c6288_sweep_conflicts_bounded_at_two_workers() {
         report.sat_stats.conflicts
     );
 }
+
+/// The 9-bit array multiplier's TG-static mapping (18 PIs, under
+/// 2000 ANDs together with its source) is verified by SAT sweeping
+/// like every other mapping. A per-output miter without sweeping
+/// needs 88 606 conflicts on it; the sweep needs MEASURED_CONFLICTS
+/// (measured, identical at 1, 2 and 4 workers).
+#[test]
+fn mul9_verification_sweeps_with_bounded_conflicts() {
+    const MEASURED_CONFLICTS: u64 = 1017;
+    let lib = Library::new(LogicFamily::TgStatic);
+    let optimized = resyn2rs(&array_multiplier(9));
+    let m = map(&optimized, &lib, MapOptions::default());
+    cntfet_aig::clear_cec_cache();
+    let report = verify_mapping_report(&optimized, &m, &lib);
+    assert_eq!(report.result, CecResult::Equivalent);
+    assert!(!report.exhaustive, "18 PIs are past the exhaustive tier");
+    assert!(report.internal_proofs > 0, "the sweep must prove internal pairs");
+    assert!(
+        report.sat_stats.conflicts <= 2 * MEASURED_CONFLICTS,
+        "mul-9 verification needed {} conflicts",
+        report.sat_stats.conflicts
+    );
+}

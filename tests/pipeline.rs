@@ -78,6 +78,39 @@ fn multiplier_pipeline_with_sweeping_verification() {
     }
 }
 
+/// Known-answer negatives on a circuit wider than the exhaustive tier
+/// (24 PIs) but far below 2000 ANDs: flipping the polarity of the gate
+/// that drives an output, as the benchmark's negatives do, must yield
+/// a counterexample that the two networks really disagree on.
+#[test]
+fn wide_small_mapping_negatives_caught_per_output() {
+    use cntfet_techmap::{mapping_to_aig, verify_mapping_report, PoBinding, Source};
+    let optimized = resyn2rs(&ripple_adder(12));
+    let lib = Library::new(LogicFamily::TgStatic);
+    let mapping = map(&optimized, &lib, MapOptions::default());
+    let rebuilt = mapping_to_aig(&mapping, &lib, optimized.num_pis());
+    assert!(optimized.num_pis() > 16);
+    assert!(optimized.num_ands() + rebuilt.num_ands() < 2000);
+    let mut negatives = 0;
+    for po in &mapping.pos {
+        let PoBinding::Signal(Source::Node(root), _) = *po else {
+            continue;
+        };
+        let g = mapping.gates.iter().position(|g| g.root == root).expect("driving gate");
+        let mut bad = mapping.clone();
+        bad.gates[g].out_compl = !bad.gates[g].out_compl;
+        match verify_mapping_report(&optimized, &bad, &lib).result {
+            CecResult::Counterexample { inputs, output } => {
+                let bad_aig = mapping_to_aig(&bad, &lib, optimized.num_pis());
+                assert_ne!(optimized.eval(&inputs)[output], bad_aig.eval(&inputs)[output]);
+            }
+            CecResult::Equivalent => panic!("flipped gate {g} reported equivalent"),
+        }
+        negatives += 1;
+    }
+    assert_eq!(negatives, optimized.num_pos(), "every output is gate-driven");
+}
+
 #[test]
 fn fabric_round_trip_via_mapping() {
     let circuit = ripple_adder(6);
