@@ -552,7 +552,7 @@ impl CutArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cuts::enumerate_cuts;
+    use crate::cuts::{enumerate_cuts_with, CutParams, CutRank};
     use crate::graph::{Lit, Node};
 
     /// A small graph with sharing, an edit session, and real dead
@@ -769,7 +769,7 @@ mod tests {
         let y = g.and(p[2], p[3]);
         let z = g.or(x, y);
         g.add_po(z);
-        let cuts = enumerate_cuts(&g, 4, 8);
+        let cuts = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 8, rank: CutRank::Size });
         (g, cuts)
     }
 

@@ -555,17 +555,6 @@ struct ScratchCut {
     alive: bool,
 }
 
-/// Enumerates up to `max_cuts` k-feasible priority cuts per node,
-/// ranked by [`CutRank::Size`] (the first cut of every node is its
-/// unit cut). See [`enumerate_cuts_with`] for the full interface.
-///
-/// # Panics
-///
-/// Panics if `k < 2`.
-pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
-    enumerate_cuts_with(aig, CutParams { k, max_cuts, rank: CutRank::Size })
-}
-
 /// Enumerates k-feasible priority cuts into a fresh [`CutArena`].
 ///
 /// For every AND node, the cut sets of its fanins are pairwise merged
@@ -1115,7 +1104,7 @@ mod tests {
     #[test]
     fn unit_cuts_exist() {
         let g = sample_aig();
-        let cs = enumerate_cuts(&g, 4, 8);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 8, rank: CutRank::Size });
         for id in g.and_ids() {
             let mut cuts = cs.of(id);
             assert!(cuts.len() > 0);
@@ -1128,7 +1117,7 @@ mod tests {
     #[test]
     fn root_has_pi_cut() {
         let g = sample_aig();
-        let cs = enumerate_cuts(&g, 4, 16);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 16, rank: CutRank::Size });
         let root = g.pos()[0].node();
         let pi_cut = cs
             .of(root)
@@ -1140,7 +1129,7 @@ mod tests {
     #[test]
     fn in_pass_functions_match_cone_walk() {
         let g = sample_aig();
-        let cs = enumerate_cuts(&g, 4, 16);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 16, rank: CutRank::Size });
         for id in g.and_ids() {
             for cut in cs.of(id) {
                 let inpass = cut.function().expect("k <= 6 carries functions");
@@ -1153,7 +1142,7 @@ mod tests {
     #[test]
     fn cut_function_matches_cone() {
         let g = sample_aig();
-        let cs = enumerate_cuts(&g, 4, 16);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 16, rank: CutRank::Size });
         let root = g.pos()[0].node();
         let pi_cut = cs
             .of(root)
@@ -1174,7 +1163,7 @@ mod tests {
     #[test]
     fn dominated_cuts_are_pruned() {
         let g = sample_aig();
-        let cs = enumerate_cuts(&g, 4, 16);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 16, rank: CutRank::Size });
         for id in g.and_ids() {
             let cuts: Vec<CutView<'_>> = cs.of(id).collect();
             for (i, a) in cuts.iter().enumerate() {
@@ -1193,7 +1182,7 @@ mod tests {
     #[test]
     fn merge_respects_k() {
         let g = sample_aig();
-        let cs = enumerate_cuts(&g, 2, 8);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 2, max_cuts: 8, rank: CutRank::Size });
         // With k=2 no cut exceeds 2 leaves.
         for id in g.and_ids() {
             for c in cs.of(id) {
@@ -1530,7 +1519,7 @@ mod tests {
         let pis = g.add_pis(8);
         let x = g.xor_many(&pis);
         g.add_po(x);
-        let cs = enumerate_cuts(&g, 8, 16);
+        let cs = enumerate_cuts_with(&g, CutParams { k: 8, max_cuts: 16, rank: CutRank::Size });
         assert!(!cs.has_functions());
         let root = g.pos()[0].node();
         let wide = cs.of(root).max_by_key(|c| c.size()).unwrap();

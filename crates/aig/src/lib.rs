@@ -96,8 +96,8 @@ pub use io::IoError;
 pub use check::CheckError;
 pub use cec::{check_equivalence, equivalent, sat_lit, tseitin, CecReport, CecResult};
 pub use cuts::{
-    cut_function, enumerate_cuts, enumerate_cuts_custom, enumerate_cuts_with,
-    enumerate_cuts_with_jobs, CutArena, CutIter, CutParams, CutRank, CutView, PAR_MIN_ANDS,
+    cut_function, enumerate_cuts_custom, enumerate_cuts_with, enumerate_cuts_with_jobs, CutArena,
+    CutIter, CutParams, CutRank, CutView, PAR_MIN_ANDS,
 };
 pub use edit::EditDelta;
 pub use graph::{Aig, CompactMap, Lit, NodeId};

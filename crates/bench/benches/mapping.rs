@@ -1,7 +1,11 @@
 //! Criterion benchmarks of technology mapping (the Table 3 engine) on
 //! representative benchmarks and libraries, covering both corners of
-//! the multi-objective coverer.
+//! the multi-objective coverer. Every `map` iteration clears the
+//! mapping result cache and every verification iteration the CEC
+//! result cache, so each row times a full run rather than a cache hit.
 
+use cntfet_aig::{CutParams, CutRank};
+use cntfet_techmap::{clear_map_cache, map, MapOptions, Objective};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -11,59 +15,45 @@ fn bench_mapping(c: &mut Criterion) {
     let c1908 = cntfet_synth::resyn2rs(&cntfet_circuits::c1908_like());
     let tg = cntfet_core::Library::new(cntfet_core::LogicFamily::TgStatic);
     let cmos = cntfet_core::Library::new(cntfet_core::LogicFamily::CmosStatic);
-    let opts = cntfet_techmap::MapOptions::default();
-    let with = |objective| cntfet_techmap::MapOptions { objective, ..Default::default() };
+    let with = |objective| MapOptions { objective, ..Default::default() };
 
-    c.bench_function("map/add16/tg_static", |b| {
-        b.iter(|| cntfet_techmap::map(black_box(&add16), &tg, opts))
-    });
-    c.bench_function("map/add16/tg_static/area", |b| {
-        b.iter(|| {
-            cntfet_techmap::map(black_box(&add16), &tg, with(cntfet_techmap::Objective::Area))
-        })
-    });
-    c.bench_function("map/add16/tg_static/delay", |b| {
-        b.iter(|| {
-            cntfet_techmap::map(black_box(&add16), &tg, with(cntfet_techmap::Objective::Delay))
-        })
-    });
-    c.bench_function("map/add16/cmos", |b| {
-        b.iter(|| cntfet_techmap::map(black_box(&add16), &cmos, opts))
-    });
-    c.bench_function("map/mult8/tg_static/area", |b| {
-        b.iter(|| {
-            cntfet_techmap::map(black_box(&mult8), &tg, with(cntfet_techmap::Objective::Area))
-        })
-    });
-    c.bench_function("map/mult8/tg_static/delay", |b| {
-        b.iter(|| {
-            cntfet_techmap::map(black_box(&mult8), &tg, with(cntfet_techmap::Objective::Delay))
-        })
-    });
-    // The arrival-aware iterated delay mapper vs its own round-0
-    // baseline: the cost of re-enumerating cuts under mapped arrivals.
-    c.bench_function("map/mult8/tg_static/delay_single_enum", |b| {
-        let opts = cntfet_techmap::MapOptions {
-            objective: cntfet_techmap::Objective::Delay,
-            delay_rounds: 0,
-            ..Default::default()
-        };
-        b.iter(|| cntfet_techmap::map(black_box(&mult8), &tg, opts))
-    });
-    c.bench_function("map/c1908/tg_static/delay_arrival_rounds", |b| {
-        b.iter(|| {
-            cntfet_techmap::map(black_box(&c1908), &tg, with(cntfet_techmap::Objective::Delay))
-        })
-    });
-    c.bench_function("map/c1908/tg_static", |b| {
-        b.iter(|| cntfet_techmap::map(black_box(&c1908), &tg, opts))
-    });
+    let rows = [
+        ("map/add16/tg_static", &add16, &tg, MapOptions::default()),
+        ("map/add16/tg_static/area", &add16, &tg, with(Objective::Area)),
+        ("map/add16/tg_static/delay", &add16, &tg, with(Objective::Delay)),
+        ("map/add16/cmos", &add16, &cmos, MapOptions::default()),
+        ("map/mult8/tg_static/area", &mult8, &tg, with(Objective::Area)),
+        ("map/mult8/tg_static/delay", &mult8, &tg, with(Objective::Delay)),
+        // The arrival-aware iterated delay mapper vs its own round-0
+        // baseline: the cost of re-enumerating cuts under mapped
+        // arrivals.
+        (
+            "map/mult8/tg_static/delay_single_enum",
+            &mult8,
+            &tg,
+            MapOptions { delay_rounds: 0, ..with(Objective::Delay) },
+        ),
+        ("map/c1908/tg_static/delay_arrival_rounds", &c1908, &tg, with(Objective::Delay)),
+        ("map/c1908/tg_static", &c1908, &tg, MapOptions::default()),
+    ];
+    for (name, aig, lib, opts) in rows {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                clear_map_cache();
+                map(black_box(aig), lib, opts)
+            })
+        });
+    }
     c.bench_function("cuts/enumerate/mult8/k6", |b| {
-        b.iter(|| cntfet_aig::enumerate_cuts(black_box(&mult8), 6, 10))
+        let params = CutParams { k: 6, max_cuts: 10, rank: CutRank::Size };
+        b.iter(|| cntfet_aig::enumerate_cuts_with(black_box(&mult8), params))
     });
     c.bench_function("verify_mapping/add16/tg_static", |b| {
-        let m = cntfet_techmap::map(&add16, &tg, opts);
-        b.iter(|| cntfet_techmap::verify_mapping(black_box(&add16), &m, &tg))
+        let m = map(&add16, &tg, MapOptions::default());
+        b.iter(|| {
+            cntfet_aig::clear_cec_cache();
+            cntfet_techmap::verify_mapping(black_box(&add16), &m, &tg)
+        })
     });
 }
 

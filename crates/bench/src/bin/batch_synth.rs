@@ -16,6 +16,7 @@
 //!     --repeat N                          passes over the batch (default 2: cold+warm)
 //!     --max-ands N                        admission budget per request
 //!     --export-suite DIR                  write the suite as .aag/.aig into DIR, exit
+//!     -h, --help                          print this flag table, exit
 //! ```
 //!
 //! The two job knobs compose: `--jobs` fans circuits over the batch
@@ -37,6 +38,20 @@ use cntfet_core::LogicFamily;
 use cntfet_synth::SynthOptions;
 use cntfet_techmap::{MapOptions, Objective};
 use std::path::PathBuf;
+
+/// The flag table of the module doc, printed by `--help`.
+const USAGE: &str = "\
+batch_synth [FILES...]
+    --family tg-static|tg-pseudo|cmos   library to map onto (default tg-static)
+    --objective area|delay|balanced     covering objective (default balanced)
+    --no-verify                         skip CEC of every mapping
+    --jobs N                            batch-level worker threads (default CNTFET_JOBS/cores)
+    --inner-jobs N                      per-circuit cut-enumeration threads (default: same as --jobs)
+    --repeat N                          passes over the batch (default 2: cold+warm)
+    --max-ands N                        admission budget per request
+    --export-suite DIR                  write the suite as .aag/.aig into DIR, exit
+    -h, --help                          print this flag table, exit
+";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,6 +104,10 @@ fn main() {
             "--repeat" => repeat = parse_count(&value("a positive integer"), arg, 1),
             "--max-ands" => max_ands = Some(parse_count(&value("an integer"), arg, 0)),
             "--export-suite" => export = Some(PathBuf::from(value("a directory"))),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             _ if arg.starts_with("--") => {
                 eprintln!("unknown flag {arg}");
                 std::process::exit(2);

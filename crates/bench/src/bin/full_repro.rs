@@ -10,18 +10,18 @@
 //! and adds their verdicts to the scoreboard.
 
 use cntfet_aig::{
-    check_equivalence_sweeping, enumerate_cuts, enumerate_cuts_with, parse_aiger,
-    write_aiger_ascii, write_aiger_binary, CecResult, CutArena, CutParams, CutRank, NodeId,
+    check_equivalence_sweeping, enumerate_cuts_with, parse_aiger, write_aiger_ascii,
+    write_aiger_binary, CecResult, CutArena, CutParams, CutRank, NodeId,
 };
 use cntfet_bench::serve::load_circuit;
 use cntfet_bench::{
-    compare_synth_engines, run_circuit, run_suite, run_suite_with, suite_averages,
+    compare_with_seed_baseline, run_circuit, run_suite, run_suite_with, suite_averages,
     suite_libraries, suite_verification_stats,
 };
 use cntfet_circuits::paper_benchmarks;
 use cntfet_core::{characterize_family, enumerate_gates, family_averages, Library, LogicFamily};
 use cntfet_sat::Solver;
-use cntfet_synth::{resyn2rs, SynthOptions};
+use cntfet_synth::resyn2rs;
 use cntfet_techmap::{check_mapping, map, MapOptions, MapStats, Objective};
 
 struct Check {
@@ -203,17 +203,13 @@ fn main() {
         tolerance_pct: 0.0,
     });
 
-    // Synthesis engines: the in-place DAG-aware engine (PR 5) vs the
-    // seed rebuild-based sequence — never worse in (ands, depth) on
-    // any benchmark, CEC-verified, and faster end to end.
-    println!("\ncomparing synthesis engines (seed rebuild vs in-place DAG-aware)...");
-    // Cold comparison: the suite runs above populated the result
-    // caches, which would zero out the in-place column's wall time.
-    cntfet_bench::clear_result_caches();
-    let synth_cmp = compare_synth_engines(true, None);
+    // Synthesis: the in-place DAG-aware engine against the frozen seed
+    // engine baseline — never worse in (ands, depth) on any
+    // benchmark, and every output CEC-verified against its input.
+    println!("\ncomparing in-place synthesis against the frozen seed baseline...");
+    let synth_cmp = compare_with_seed_baseline(true);
     let mut synth_worse = 0usize;
     let mut synth_unverified = 0usize;
-    let (mut seed_ms, mut new_ms) = (0.0f64, 0.0f64);
     let (mut seed_ands, mut new_ands) = (0usize, 0usize);
     for c in &synth_cmp {
         if !c.never_worse() {
@@ -224,16 +220,13 @@ fn main() {
             );
         }
         synth_unverified += usize::from(!c.verified);
-        seed_ms += c.seed_ms;
-        new_ms += c.inplace_ms;
         seed_ands += c.seed.ands;
         new_ands += c.inplace.ands;
     }
     println!(
-        "  total ands {seed_ands} -> {new_ands} ({:+.1}%), suite synth wall time \
-         {seed_ms:.0} -> {new_ms:.0} ms ({:.1}x)",
+        "  {} benchmarks, total ands {seed_ands} -> {new_ands} ({:+.1}%)",
+        synth_cmp.len(),
         100.0 * (new_ands as f64 - seed_ands as f64) / seed_ands as f64,
-        seed_ms / new_ms,
     );
     checks.push(Check {
         what: "Synth: in-place never worse than seed (ands, depth)",
@@ -242,7 +235,7 @@ fn main() {
         tolerance_pct: 0.0,
     });
     checks.push(Check {
-        what: "Synth: both engines CEC-verified per benchmark",
+        what: "Synth: in-place output CEC-verified per benchmark",
         paper: 0.0,
         measured: synth_unverified as f64,
         tolerance_pct: 0.0,
@@ -261,7 +254,7 @@ fn main() {
             invariant_violations += 1;
             println!("  VIOLATION {}: graph: {e}", b.name);
         }
-        let cuts = enumerate_cuts(&opt, 6, 8);
+        let cuts = enumerate_cuts_with(&opt, CutParams { k: 6, max_cuts: 8, rank: CutRank::Size });
         if let Err(e) = cuts.check(&opt) {
             invariant_violations += 1;
             println!("  VIOLATION {}: cut arena: {e}", b.name);
@@ -411,15 +404,8 @@ fn main() {
             match load_circuit(std::path::Path::new(f)) {
                 Ok(aig) => {
                     let name = aig.name().to_string();
-                    let row = run_circuit(
-                        &name,
-                        "external",
-                        &aig,
-                        true,
-                        MapOptions::default(),
-                        &SynthOptions::default(),
-                        &libs,
-                    );
+                    let row =
+                        run_circuit(&name, "external", &aig, true, MapOptions::default(), &libs);
                     let rt_ok = parse_aiger(&write_aiger_binary(&aig))
                         .map(|back| {
                             check_equivalence_sweeping(&aig, &back) == CecResult::Equivalent

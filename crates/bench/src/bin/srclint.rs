@@ -60,7 +60,6 @@ const EXPECT_BUDGET: &[(&str, usize)] = &[
     ("crates/switchlevel/src/solver.rs", 1),
     ("crates/synth/src/balance.rs", 2),
     ("crates/synth/src/refactor.rs", 1),
-    ("crates/synth/src/seed.rs", 8),
     ("crates/techmap/src/mapper.rs", 5),
     ("crates/techmap/src/verify.rs", 1),
     ("vendor/threadpool/src/lib.rs", 1),

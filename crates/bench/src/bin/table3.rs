@@ -8,94 +8,83 @@
 //! the area- and delay-pressed corners of the multi-objective coverer
 //! instead of the default balanced covering; `--delay-rounds N`
 //! overrides the arrival-aware re-enumeration round bound (`0`
-//! reproduces the single-enumeration engine); `--synth seed` runs the
-//! seed-era rebuild-based synthesis engine instead of the in-place
-//! DAG-aware one (`--synth inplace`, the default); `--jobs N` sets the
+//! reproduces the single-enumeration engine); `--jobs N` sets the
 //! worker-thread budget (default: `CNTFET_JOBS` or the detected core
 //! count — the table is identical for every value); `--input FILE`
 //! (repeatable) runs external AIGER/BLIF circuits through the same
-//! pipeline instead of the built-in suite.
+//! pipeline instead of the built-in suite. Any other argument is
+//! rejected with exit code 2.
 
 use cntfet_bench::serve::load_circuit;
-use cntfet_bench::{print_table3, run_circuit, run_suite_full, suite_libraries, Table3Row};
-use cntfet_synth::{SynthEngine, SynthOptions};
+use cntfet_bench::{print_table3, run_circuit, run_suite_with, suite_libraries, Table3Row};
 use cntfet_techmap::{MapOptions, Objective};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let synth_engine = match args.iter().position(|a| a == "--synth") {
-        None => SynthEngine::InPlace,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("seed") => SynthEngine::Seed,
-            Some("inplace") => SynthEngine::InPlace,
-            other => {
-                eprintln!("unknown synth engine {other:?}: expected inplace or seed");
-                std::process::exit(2);
-            }
-        },
-    };
-    let objective = match args.iter().position(|a| a == "--objective") {
-        None => Objective::Balanced,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("area") => Objective::Area,
-            Some("delay") => Objective::Delay,
-            Some("balanced") => Objective::Balanced,
-            other => {
-                eprintln!(
-                    "unknown objective {other:?}: expected area, delay or balanced"
-                );
-                std::process::exit(2);
-            }
-        },
-    };
-    let delay_rounds = match args.iter().position(|a| a == "--delay-rounds") {
-        None => MapOptions::default().delay_rounds,
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) => n,
-            None => {
-                eprintln!("--delay-rounds expects a non-negative integer");
-                std::process::exit(2);
-            }
-        },
-    };
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) if n > 0 => threadpool::Jobs::set(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut fast = false;
+    let mut objective = Objective::Balanced;
+    let mut delay_rounds = MapOptions::default().delay_rounds;
     // `--input FILE` (repeatable): run external circuits instead of
     // the built-in suite.
     let mut inputs: Vec<String> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--input" {
-            match args.get(i + 1) {
-                Some(f) if !f.starts_with("--") => inputs.push(f.clone()),
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fast" => fast = true,
+            "--objective" => {
+                objective = match args.next().as_deref() {
+                    Some("area") => Objective::Area,
+                    Some("delay") => Objective::Delay,
+                    Some("balanced") => Objective::Balanced,
+                    other => {
+                        eprintln!(
+                            "unknown objective {other:?}: expected area, delay or balanced"
+                        );
+                        std::process::exit(2);
+                    }
+                }
+            }
+            "--delay-rounds" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) => delay_rounds = n,
+                None => {
+                    eprintln!("--delay-rounds expects a non-negative integer");
+                    std::process::exit(2);
+                }
+            },
+            "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) if n > 0 => threadpool::Jobs::set(n),
+                _ => {
+                    eprintln!("--jobs expects a positive integer");
+                    std::process::exit(2);
+                }
+            },
+            "--input" => match args.next() {
+                Some(f) if !f.starts_with("--") => inputs.push(f),
                 _ => {
                     eprintln!("--input expects a file path (.aag, .aig or .blif)");
                     std::process::exit(2);
                 }
+            },
+            other => {
+                eprintln!(
+                    "unknown argument {other:?}: expected --fast, --objective, \
+                     --delay-rounds, --jobs or --input"
+                );
+                std::process::exit(2);
             }
         }
     }
 
     println!("== Table 3 reproduction: synthesis + technology mapping ==");
     println!(
-        "(resyn2rs optimization [{synth_engine:?} engine], 6-cut NPN matching, \
-         {objective:?} covering, {delay_rounds} arrival round(s), {} worker(s); \
-         verification {})\n",
+        "(resyn2rs optimization, 6-cut NPN matching, {objective:?} covering, \
+         {delay_rounds} arrival round(s), {} worker(s); verification {})\n",
         threadpool::Jobs::get(),
         if fast { "OFF (--fast)" } else { "ON" }
     );
     let t0 = std::time::Instant::now();
     let map_opts = MapOptions { objective, delay_rounds, ..Default::default() };
-    let synth_opts = SynthOptions { engine: synth_engine, ..Default::default() };
     let rows: Vec<Table3Row> = if inputs.is_empty() {
-        run_suite_full(!fast, None, map_opts, &synth_opts)
+        run_suite_with(!fast, None, map_opts)
     } else {
         let libs = suite_libraries();
         let _ = cntfet_boolfn::RwrLibrary::global();
@@ -104,7 +93,7 @@ fn main() {
             .map(|f| match load_circuit(std::path::Path::new(f)) {
                 Ok(aig) => {
                     let name = aig.name().to_string();
-                    run_circuit(&name, "external", &aig, !fast, map_opts, &synth_opts, &libs)
+                    run_circuit(&name, "external", &aig, !fast, map_opts, &libs)
                 }
                 Err(e) => {
                     eprintln!("error: {e}");

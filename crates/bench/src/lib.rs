@@ -12,7 +12,7 @@ use cntfet_aig::Aig;
 use cntfet_circuits::{paper_benchmarks, Benchmark};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_sat::SolverStats;
-use cntfet_synth::{resyn2rs_with, SynthOptions};
+use cntfet_synth::{resyn2rs, AigStats};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, MapStats};
 
 /// Mapping results of one benchmark across the three Table 3 families.
@@ -66,34 +66,6 @@ pub fn clear_result_caches() {
     cntfet_aig::clear_cec_cache();
 }
 
-/// Runs the full Table 3 pipeline on one benchmark with default
-/// (balanced) mapper options.
-///
-/// `verify` enables SAT equivalence checking of every mapping (adds
-/// runtime on the large circuits).
-pub fn run_benchmark(b: &Benchmark, verify: bool) -> Table3Row {
-    run_benchmark_with(b, verify, MapOptions::default())
-}
-
-/// [`run_benchmark`] with explicit mapper options — the hook behind
-/// `table3 --objective area|delay`, which reports the two corners of
-/// the multi-objective coverer.
-pub fn run_benchmark_with(b: &Benchmark, verify: bool, opts: MapOptions) -> Table3Row {
-    run_benchmark_full(b, verify, opts, &SynthOptions::default())
-}
-
-/// [`run_benchmark_with`] with explicit synthesis options too — the
-/// hook behind `table3 --synth seed` and `full_repro`'s old-vs-new
-/// synthesis comparison.
-pub fn run_benchmark_full(
-    b: &Benchmark,
-    verify: bool,
-    opts: MapOptions,
-    synth: &SynthOptions,
-) -> Table3Row {
-    run_benchmark_libs(b, verify, opts, synth, &suite_libraries())
-}
-
 /// The three Table 3 libraries, in column order (TG static, TG
 /// pseudo, CMOS). Built once per suite run and shared (immutably)
 /// across all suite workers; `table3 --input` builds them once per
@@ -106,32 +78,23 @@ pub fn suite_libraries() -> [Library; 3] {
     ]
 }
 
-/// [`run_benchmark_full`] against prebuilt libraries — the per-worker
-/// body of the parallel suite.
-fn run_benchmark_libs(
-    b: &Benchmark,
-    verify: bool,
-    opts: MapOptions,
-    synth: &SynthOptions,
-    libs: &[Library; 3],
-) -> Table3Row {
-    run_circuit(b.name, b.function, &b.aig, verify, opts, synth, libs)
-}
-
 /// Runs the full Table 3 pipeline (synth → map × 3 families →
-/// optional CEC) on an arbitrary circuit — the entry point behind
-/// `table3 --input` and `full_repro --input`, where the circuit came
-/// from an AIGER or BLIF file instead of the built-in generators.
+/// optional CEC) on one circuit with default synthesis options — the
+/// per-worker body of the suite, and the entry point behind `table3
+/// --input` and `full_repro --input`, where the circuit came from an
+/// AIGER or BLIF file instead of the built-in generators.
+///
+/// `verify` enables SAT equivalence checking of every mapping (adds
+/// runtime on the large circuits).
 pub fn run_circuit(
     name: &str,
     function: &str,
     aig: &Aig,
     verify: bool,
     opts: MapOptions,
-    synth: &SynthOptions,
     libs: &[Library; 3],
 ) -> Table3Row {
-    let optimized = resyn2rs_with(aig, synth);
+    let optimized = resyn2rs(aig);
     let mut stats = Vec::with_capacity(3);
     let mut verified = true;
     let mut sat_stats = SolverStats::default();
@@ -159,30 +122,23 @@ pub fn run_circuit(
     }
 }
 
-/// Runs the whole suite (all 15 benchmarks). `verify` as in
-/// [`run_benchmark`]; `subset` optionally restricts by name.
+/// Runs the whole suite (all 15 benchmarks) with default (balanced)
+/// mapper options. `verify` as in [`run_circuit`]; `subset`
+/// optionally restricts by name.
 pub fn run_suite(verify: bool, subset: Option<&[&str]>) -> Vec<Table3Row> {
     run_suite_with(verify, subset, MapOptions::default())
 }
 
-/// [`run_suite`] with explicit mapper options.
-pub fn run_suite_with(verify: bool, subset: Option<&[&str]>, opts: MapOptions) -> Vec<Table3Row> {
-    run_suite_full(verify, subset, opts, &SynthOptions::default())
-}
-
-/// [`run_suite_with`] with explicit synthesis options too.
+/// [`run_suite`] with explicit mapper options — the hook behind
+/// `table3 --objective area|delay`, which reports the two corners of
+/// the multi-objective coverer.
 ///
 /// Benchmarks run in parallel across the workspace worker budget
 /// ([`threadpool::Jobs`]; `CNTFET_JOBS=1` forces sequential). Each
 /// worker owns its whole synth→map→verify chain and writes into a
 /// pre-assigned row, so the report is identical for every worker
 /// count.
-pub fn run_suite_full(
-    verify: bool,
-    subset: Option<&[&str]>,
-    opts: MapOptions,
-    synth: &SynthOptions,
-) -> Vec<Table3Row> {
+pub fn run_suite_with(verify: bool, subset: Option<&[&str]>, opts: MapOptions) -> Vec<Table3Row> {
     let benches: Vec<Benchmark> = paper_benchmarks()
         .into_iter()
         .filter(|b| subset.map(|s| s.contains(&b.name)).unwrap_or(true))
@@ -193,25 +149,48 @@ pub fn run_suite_full(
     let libs = suite_libraries();
     let _ = cntfet_boolfn::RwrLibrary::global();
     threadpool::par_map(0, benches.len(), |i| {
-        run_benchmark_libs(&benches[i], verify, opts, synth, &libs)
+        let b = &benches[i];
+        run_circuit(b.name, b.function, &b.aig, verify, opts, &libs)
     })
 }
 
-/// One benchmark's old-vs-new synthesis engine outcome (see
-/// [`compare_synth_engines`]).
+/// The seed engine's `resyn2rs` outcome on each suite circuit, as
+/// `(name, ands, depth)` in [`paper_benchmarks`] order: the
+/// quality-of-result baseline the in-place engine must never fall
+/// behind. The seed engine rebuilt the whole graph on every pass
+/// (rebalancing, 4-cut rewriting and ISOP refactoring through a
+/// translation map); it was deleted once the in-place engine beat it
+/// on every circuit, and its deterministic outcomes are kept here as
+/// frozen data. Suite total: 27 139 ANDs.
+pub const SEED_SYNTH_BASELINE: [(&str, usize, u32); 15] = [
+    ("C2670", 2537, 43),
+    ("C1908", 306, 27),
+    ("C3540", 1038, 33),
+    ("dalu", 1824, 64),
+    ("C7552", 1743, 32),
+    ("C6288", 2336, 181),
+    ("C5315", 1979, 50),
+    ("des", 6829, 16),
+    ("i10", 5099, 61),
+    ("t481", 57, 16),
+    ("i18", 2020, 52),
+    ("C1355", 363, 16),
+    ("add-16", 144, 34),
+    ("add-32", 288, 66),
+    ("add-64", 576, 130),
+];
+
+/// One benchmark's in-place synthesis outcome against the frozen seed
+/// baseline (see [`compare_with_seed_baseline`]).
 #[derive(Debug, Clone)]
 pub struct SynthComparison {
     /// Benchmark name.
     pub name: String,
-    /// Seed-engine result stats.
-    pub seed: cntfet_synth::AigStats,
+    /// Seed-engine result stats ([`SEED_SYNTH_BASELINE`]).
+    pub seed: AigStats,
     /// In-place-engine result stats.
-    pub inplace: cntfet_synth::AigStats,
-    /// Seed-engine wall time (ms).
-    pub seed_ms: f64,
-    /// In-place-engine wall time (ms).
-    pub inplace_ms: f64,
-    /// Whether both engine outputs passed CEC against the input.
+    pub inplace: AigStats,
+    /// Whether the in-place output passed CEC against the input.
     pub verified: bool,
 }
 
@@ -219,44 +198,34 @@ impl SynthComparison {
     /// True when the in-place engine is never worse than the seed
     /// engine in `(ands, depth)` lexicographic order.
     pub fn never_worse(&self) -> bool {
-        self.inplace.ands < self.seed.ands
-            || (self.inplace.ands == self.seed.ands && self.inplace.depth <= self.seed.depth)
+        !self.seed.better_than(&self.inplace)
     }
 }
 
-/// Runs both synthesis engines (`resyn2rs`) over the benchmark suite
-/// and reports quality, wall time, and (optionally) per-benchmark CEC
-/// of each output against its input — the scoreboard behind
-/// `full_repro`'s synthesis check and the never-worse regression
-/// test.
-pub fn compare_synth_engines(verify: bool, subset: Option<&[&str]>) -> Vec<SynthComparison> {
-    use cntfet_synth::{AigStats, SynthEngine};
-    let seed_opts = SynthOptions { engine: SynthEngine::Seed, ..Default::default() };
-    let new_opts = SynthOptions::default();
-    let benches: Vec<Benchmark> = paper_benchmarks()
+/// Runs `resyn2rs` over every suite circuit that has a
+/// [`SEED_SYNTH_BASELINE`] row and reports its quality against that
+/// row, plus (when `verify` is set) per-benchmark CEC of the output
+/// against its input — the scoreboard behind `full_repro`'s synthesis
+/// checks and the never-worse regression test.
+pub fn compare_with_seed_baseline(verify: bool) -> Vec<SynthComparison> {
+    let cases: Vec<(Benchmark, AigStats)> = paper_benchmarks()
         .into_iter()
-        .filter(|b| subset.map(|s| s.contains(&b.name)).unwrap_or(true))
+        .filter_map(|b| {
+            let &(_, ands, depth) = SEED_SYNTH_BASELINE.iter().find(|r| r.0 == b.name)?;
+            Some((b, AigStats { ands, depth }))
+        })
         .collect();
     let _ = cntfet_boolfn::RwrLibrary::global();
-    threadpool::par_map(0, benches.len(), |i| {
-        let b = &benches[i];
-        let t = std::time::Instant::now();
-        let new = resyn2rs_with(&b.aig, &new_opts);
-        let inplace_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = std::time::Instant::now();
-        let old = resyn2rs_with(&b.aig, &seed_opts);
-        let seed_ms = t.elapsed().as_secs_f64() * 1e3;
+    threadpool::par_map(0, cases.len(), |i| {
+        let (b, seed) = &cases[i];
+        let new = resyn2rs(&b.aig);
         let verified = !verify
-            || (cntfet_aig::check_equivalence_sweeping(&b.aig, &new)
-                == cntfet_aig::CecResult::Equivalent
-                && cntfet_aig::check_equivalence_sweeping(&b.aig, &old)
-                    == cntfet_aig::CecResult::Equivalent);
+            || cntfet_aig::check_equivalence_sweeping(&b.aig, &new)
+                == cntfet_aig::CecResult::Equivalent;
         SynthComparison {
             name: b.name.to_string(),
-            seed: AigStats::of(&old),
+            seed: *seed,
             inplace: AigStats::of(&new),
-            seed_ms,
-            inplace_ms,
             verified,
         }
     })

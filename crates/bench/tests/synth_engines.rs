@@ -1,16 +1,19 @@
-//! Old-vs-new synthesis engine regression: the in-place DAG-aware
-//! `resyn2rs` must never be worse than the seed rebuild sequence in
-//! `(ands, depth)` on any benchmark of the full Table 3 suite, with
-//! both engine outputs CEC-verified against the source circuit.
+//! Synthesis quality regression: the in-place DAG-aware `resyn2rs`
+//! must never be worse than the seed rebuild engine's frozen outcomes
+//! (`SEED_SYNTH_BASELINE`) in `(ands, depth)` on any benchmark of the
+//! full Table 3 suite, with every output CEC-verified against the
+//! source circuit.
 
-use cntfet_bench::compare_synth_engines;
+use cntfet_bench::{compare_with_seed_baseline, SEED_SYNTH_BASELINE};
 
 #[test]
 fn inplace_resyn2rs_never_worse_than_seed_on_full_suite() {
-    let cmp = compare_synth_engines(true, None);
+    let seed_total: usize = SEED_SYNTH_BASELINE.iter().map(|r| r.1).sum();
+    assert_eq!(seed_total, 27_139, "frozen seed baseline edited");
+    let cmp = compare_with_seed_baseline(true);
     assert_eq!(cmp.len(), 15, "full suite expected");
     for c in &cmp {
-        assert!(c.verified, "{}: engine output failed CEC", c.name);
+        assert!(c.verified, "{}: in-place output failed CEC", c.name);
         assert!(
             c.never_worse(),
             "{}: in-place {}/{} worse than seed {}/{}",
@@ -21,15 +24,4 @@ fn inplace_resyn2rs_never_worse_than_seed_on_full_suite() {
             c.seed.depth
         );
     }
-    // The rebuild removed the synthesis bottleneck: across the suite
-    // the in-place engine must be measurably faster in aggregate (the
-    // hard ≥3x targets on mult8/C1908-class inputs are asserted by
-    // `perfsnap`, best-of-N; a debug/loaded test run only checks the
-    // direction).
-    let seed_ms: f64 = cmp.iter().map(|c| c.seed_ms).sum();
-    let new_ms: f64 = cmp.iter().map(|c| c.inplace_ms).sum();
-    assert!(
-        new_ms < seed_ms,
-        "in-place suite synth slower than seed: {new_ms:.0}ms vs {seed_ms:.0}ms"
-    );
 }

@@ -6,9 +6,9 @@
 //! hashing without inserting anything, counting the nodes a real build
 //! would create. Combined with an MFFC deref walk this gives exact,
 //! order-independent gain accounting: rejected candidates leave no
-//! trace in the graph or its strash (unlike the seed engine, whose
-//! dry builds polluted the output strash and made gains
-//! order-dependent).
+//! trace in the graph or its strash. A candidate that did touch the
+//! strash would under-charge every later candidate reusing its nodes,
+//! making gains depend on evaluation order.
 
 use cntfet_aig::{Aig, Lit, NodeId};
 

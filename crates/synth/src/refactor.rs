@@ -8,7 +8,7 @@
 //! redundancy the small cuts cannot see. Candidates are costed with
 //! the same dry builder / MFFC machinery — nothing is built unless the
 //! candidate is accepted, so gains are exact and order-independent
-//! (the seed engine's dry builds polluted the strash).
+//! (a candidate must not touch the graph or its strash).
 
 use crate::dry::{real, revive_count, Build, DryBuild, DryScratch, MffcSet, RealBuild, VLit};
 use crate::pass::PassCtx;

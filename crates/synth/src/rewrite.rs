@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn gain_accounting_is_deterministic_and_leaves_no_garbage() {
-        // Regression for the seed refactor's accounting bug: rejected
+        // Regression for a rebuild-style accounting bug: rejected
         // dry-built candidates stayed in the output strash, making
         // gains order-dependent and leaving dangling garbage until
         // `compact()`. The in-place engine costs candidates without

@@ -1,29 +1,16 @@
 //! Synthesis entry points: `resyn2rs`/`quick_opt` as scripts over the
-//! pass framework, with a never-worse guard and selectable engine.
+//! pass framework, with a never-worse guard.
 
 use crate::pass::{AigStats, Script};
-use crate::seed;
 use cntfet_aig::Aig;
 
-/// Which synthesis engine runs the script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SynthEngine {
-    /// The in-place DAG-aware engine (priority cuts + NPN structure
-    /// library + MFFC gain accounting).
-    #[default]
-    InPlace,
-    /// The seed-era rebuild-based engine ([`crate::seed`]), kept for
-    /// old-vs-new comparisons.
-    Seed,
-}
-
-/// Options of [`resyn2rs_with`] / [`quick_opt_with`].
+/// Options of [`resyn2rs_with`].
 ///
 /// # Examples
 ///
 /// ```
 /// use cntfet_aig::{equivalent, Aig};
-/// use cntfet_synth::{resyn2rs_with, SynthEngine, SynthOptions};
+/// use cntfet_synth::{resyn2rs_with, SynthOptions};
 ///
 /// let mut g = Aig::new("chain");
 /// let pis = g.add_pis(8);
@@ -33,20 +20,14 @@ pub enum SynthEngine {
 /// }
 /// g.add_po(acc);
 ///
-/// // One self-checked round of the in-place engine.
-/// let opts = SynthOptions { rounds: 1, self_check: true, ..Default::default() };
+/// // One self-checked round.
+/// let opts = SynthOptions { rounds: 1, self_check: true };
 /// let opt = resyn2rs_with(&g, &opts);
 /// assert!(equivalent(&g, &opt));
 /// assert!(opt.depth() <= 3);
-///
-/// // The seed engine remains selectable for comparisons.
-/// let baseline = resyn2rs_with(&g, &SynthOptions { engine: SynthEngine::Seed, ..Default::default() });
-/// assert!(opt.num_ands() <= baseline.num_ands());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SynthOptions {
-    /// Engine selection.
-    pub engine: SynthEngine,
     /// Maximum script rounds (each round runs the full pass sequence;
     /// iteration stops early once a round stops improving).
     pub rounds: usize,
@@ -57,7 +38,7 @@ pub struct SynthOptions {
 
 impl Default for SynthOptions {
     fn default() -> Self {
-        SynthOptions { engine: SynthEngine::InPlace, rounds: 4, self_check: false }
+        SynthOptions { rounds: 4, self_check: false }
     }
 }
 
@@ -91,7 +72,7 @@ pub fn clear_synth_cache() {
 }
 
 /// Runs the `resyn2rs`-flavoured optimization script with default
-/// options (in-place engine, 4 rounds).
+/// options (4 rounds).
 ///
 /// Returns an AIG logically equivalent to the input that is never
 /// worse than it in `(ands, depth)`: each round must strictly improve
@@ -106,23 +87,17 @@ pub fn resyn2rs(aig: &Aig) -> Aig {
 /// fingerprint and the options ([`synth_cache_stats`] reads the
 /// counters; `CNTFET_NO_CACHE=1` disables the memo).
 pub fn resyn2rs_with(aig: &Aig, opts: &SynthOptions) -> Aig {
-    synth_cache().get_or_insert_with((aig.fingerprint(), *opts, 0), || match opts.engine {
-        SynthEngine::Seed => seed::resyn2rs(aig),
-        SynthEngine::InPlace => run_rounds(aig, opts, Script::resyn2rs),
+    synth_cache().get_or_insert_with((aig.fingerprint(), *opts, 0), || {
+        run_rounds(aig, opts, Script::resyn2rs)
     })
 }
 
-/// A light script for quick optimization (one balance + rewrite).
+/// A light script for quick optimization (one balance + rewrite),
+/// memoized like [`resyn2rs_with`] under its own script-kind tag.
 pub fn quick_opt(aig: &Aig) -> Aig {
-    quick_opt_with(aig, &SynthOptions { rounds: 1, ..Default::default() })
-}
-
-/// [`quick_opt`] with explicit [`SynthOptions`] (memoized like
-/// [`resyn2rs_with`], under its own script-kind tag).
-pub fn quick_opt_with(aig: &Aig, opts: &SynthOptions) -> Aig {
-    synth_cache().get_or_insert_with((aig.fingerprint(), *opts, 1), || match opts.engine {
-        SynthEngine::Seed => seed::quick_opt(aig),
-        SynthEngine::InPlace => run_rounds(aig, opts, Script::quick),
+    let opts = SynthOptions { rounds: 1, ..Default::default() };
+    synth_cache().get_or_insert_with((aig.fingerprint(), opts, 1), || {
+        run_rounds(aig, &opts, Script::quick)
     })
 }
 
@@ -186,12 +161,18 @@ mod tests {
 
     #[test]
     fn in_place_never_worse_than_seed_on_messy_adders() {
-        for bits in [2usize, 4, 6] {
+        // The retired seed rebuild engine's `resyn2rs` outcomes on
+        // these adders, frozen when it was deleted.
+        let seed = [
+            (2usize, AigStats { ands: 13, depth: 4 }),
+            (4, AigStats { ands: 31, depth: 8 }),
+            (6, AigStats { ands: 49, depth: 12 }),
+        ];
+        for (bits, os) in seed {
             let g = messy_adder(bits);
             let new = resyn2rs(&g);
-            let old = seed::resyn2rs(&g);
             assert!(equivalent(&g, &new));
-            let (ns, os) = (AigStats::of(&new), AigStats::of(&old));
+            let ns = AigStats::of(&new);
             assert!(
                 ns.ands < os.ands || (ns.ands == os.ands && ns.depth <= os.depth),
                 "bits={bits}: in-place {ns:?} vs seed {os:?}"
@@ -209,7 +190,7 @@ mod tests {
     #[test]
     fn self_check_mode_runs_clean() {
         let g = messy_adder(3);
-        let opts = SynthOptions { rounds: 2, self_check: true, ..Default::default() };
+        let opts = SynthOptions { rounds: 2, self_check: true };
         let o = resyn2rs_with(&g, &opts);
         assert!(equivalent(&g, &o));
     }

@@ -7,7 +7,7 @@
 //! invariants on every build; under `--features paranoid` the same
 //! checks additionally fire inside the engines' own hot seams.
 
-use cntfet_aig::{enumerate_cuts, Aig, Lit};
+use cntfet_aig::{enumerate_cuts_with, Aig, CutParams, CutRank, Lit};
 use cntfet_sat::{SolveResult, Solver, Var};
 use proptest::prelude::*;
 
@@ -95,12 +95,13 @@ proptest! {
         script in proptest::collection::vec((0u8..5, 0u16..500, 0u16..500), 10..80),
     ) {
         let g = random_aig(6, &script);
-        let cuts = enumerate_cuts(&g, 4, 8);
+        let cuts = enumerate_cuts_with(&g, CutParams { k: 4, max_cuts: 8, rank: CutRank::Size });
         prop_assert!(cuts.check(&g).is_ok(), "cut arena: {:?}", cuts.check(&g));
 
         let o = cntfet_synth::resyn2rs(&g);
         prop_assert!(o.check().is_ok(), "after resyn2rs: {:?}", o.check());
-        let ocuts = enumerate_cuts(&o, 6, 12);
+        let ocuts =
+            enumerate_cuts_with(&o, CutParams { k: 6, max_cuts: 12, rank: CutRank::Size });
         prop_assert!(ocuts.check(&o).is_ok(), "cut arena after synth: {:?}", ocuts.check(&o));
     }
 
