@@ -1,7 +1,7 @@
 //! The shared parts of combinational equivalence checking: the
-//! verdict and report types, CNF export (Tseitin encoding), the
-//! exhaustive-simulation tier, and the short entry points
-//! [`check_equivalence`] and [`equivalent`].
+//! verdict and report types, the exhaustive-simulation tier, and the
+//! short entry points [`check_equivalence`] and [`equivalent`]. The
+//! CNF of the SAT tiers is built inside the sweep, cone by cone.
 //!
 //! Every check, including every mapping verification, takes the one
 //! three-tier engine, [`crate::check_equivalence_sweeping_report`]:
@@ -11,34 +11,9 @@
 //! sweeping of candidate-equivalent internal nodes, then the
 //! per-output miter. This module runs no SAT solve of its own.
 
-use crate::graph::{Aig, Lit, NodeId};
+use crate::graph::Aig;
 use crate::sim::SimMatrix;
-use cntfet_sat::{Lit as SatLit, Solver, SolverStats, Var};
-
-/// Encodes the AIG into `solver`, returning the SAT variable of every
-/// node (indexable by `NodeId::index`).
-///
-/// The constant node is encoded as a variable constrained to false.
-pub fn tseitin(aig: &Aig, solver: &mut Solver) -> Vec<Var> {
-    let vars: Vec<Var> = (0..aig.num_nodes()).map(|_| solver.new_var()).collect();
-    solver.add_clause(&[vars[NodeId::CONST.index()].neg()]);
-    for id in aig.and_ids() {
-        let (a, b) = aig.fanins(id);
-        let c = vars[id.index()].pos();
-        let la = sat_lit(&vars, a);
-        let lb = sat_lit(&vars, b);
-        // c ↔ a ∧ b
-        solver.add_clause(&[c.negate(), la]);
-        solver.add_clause(&[c.negate(), lb]);
-        solver.add_clause(&[c, la.negate(), lb.negate()]);
-    }
-    vars
-}
-
-/// Maps an AIG literal to the corresponding SAT literal.
-pub fn sat_lit(vars: &[Var], l: Lit) -> SatLit {
-    vars[l.node().index()].lit(!l.is_complement())
-}
+use cntfet_sat::SolverStats;
 
 /// Verdict of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]

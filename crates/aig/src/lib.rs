@@ -94,7 +94,7 @@ pub use aiger::{parse_aiger, write_aiger_ascii, write_aiger_binary};
 pub use blif::{parse_blif, write_blif};
 pub use io::IoError;
 pub use check::CheckError;
-pub use cec::{check_equivalence, equivalent, sat_lit, tseitin, CecReport, CecResult};
+pub use cec::{check_equivalence, equivalent, CecReport, CecResult};
 pub use cuts::{
     cut_function, enumerate_cuts_custom, enumerate_cuts_with, enumerate_cuts_with_jobs, CutArena,
     CutIter, CutParams, CutRank, CutView, PAR_MIN_ANDS,

@@ -4,16 +4,25 @@
 //! multiplier-miter problem). Sweeping exploits the structural
 //! similarity of the two networks: candidate-equivalent internal node
 //! pairs are detected by random simulation over a flat
-//! structure-of-arrays signature matrix, proven one by one with
-//! conflict-budgeted assumption solves in topological order, and every
-//! proven equality is added back to the incremental solver as clauses
-//! — so later proofs ride on earlier ones, and the final output miters
-//! become trivial. Narrow-input circuits (≤ 16 PIs) skip SAT entirely:
-//! exhaustive simulation is a complete check there. This is the
-//! workspace's only CEC engine; `SweepOptions { node_budget: 0, .. }`
-//! reduces it to a plain per-output miter.
+//! structure-of-arrays signature matrix and proven one by one with
+//! conflict-budgeted assumption solves in topological order. The SAT
+//! side stays local to the cones being compared:
+//!
+//! * a node's variable and Tseitin clauses enter the solver the first
+//!   time a proof or an output miter reaches it;
+//! * a proven node is merged into its class representative, and cones
+//!   are encoded through representatives, so a merged node never
+//!   enters a later cone (later proofs ride on earlier ones, and the
+//!   final output miters become trivial);
+//! * once the solver has outgrown the cones it is replaced by an empty
+//!   one; the merges survive, only learnt clauses are dropped.
+//!
+//! Narrow-input circuits (≤ 16 PIs) skip SAT entirely: exhaustive
+//! simulation is a complete check there. This is the workspace's only
+//! CEC engine; `SweepOptions { node_budget: 0, .. }` reduces it to a
+//! plain per-output miter.
 
-use crate::cec::{exhaustive_cec, sat_lit, tseitin, CecReport, CecResult};
+use crate::cec::{exhaustive_cec, CecReport, CecResult};
 use crate::graph::{Aig, Lit, NodeId};
 use crate::sim::{exhaustive_feasible, SimMatrix, EXHAUSTIVE_MAX_PIS};
 use cntfet_sat::{Lit as SatLit, SolveResult, Solver, SolverStats, Var};
@@ -131,15 +140,13 @@ fn sweeping_report_uncached(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport 
     let pos_b = append(b, &mut joint, &pis);
     let n = joint.num_nodes();
 
-    // ---- SAT instance over the joint network ----
-    let mut solver = Solver::new();
-    let vars = tseitin(&joint, &mut solver);
-
     // Union-find with complement phases: node -> (repr, phase).
     let mut repr: Vec<(u32, bool)> = (0..n as u32).map(|i| (i, false)).collect();
+    // CNF enters the solver only as proofs reach it.
+    let mut cones = ConeSolver::new(n);
 
     let (internal_proofs, refinements) = if opts.node_budget > 0 {
-        sweep(&joint, &mut solver, &vars, &mut repr, opts)
+        sweep(&joint, &mut cones, &mut repr, opts)
     } else {
         (0, 0)
     };
@@ -164,38 +171,165 @@ fn sweeping_report_uncached(a: &Aig, b: &Aig, opts: &SweepOptions) -> CecReport 
         if root_a == root_b && ph_a ^ la.is_complement() == ph_b ^ lb.is_complement() {
             continue;
         }
-        let sa = sat_lit(&vars, la);
-        let sb = sat_lit(&vars, lb);
+        let (sa, sb) = cones.pair(&joint, &mut repr, la, lb);
         for assumptions in [[sa, sb.negate()], [sa.negate(), sb]] {
-            if solver.solve(&assumptions) == SolveResult::Sat {
-                let inputs: Vec<bool> = joint
-                    .pis()
-                    .iter()
-                    .map(|pi| solver.value(vars[pi.index()]).unwrap_or(false))
-                    .collect();
-                result = CecResult::Counterexample { inputs, output: o };
+            if cones.solver.solve(&assumptions) == SolveResult::Sat {
+                result = CecResult::Counterexample {
+                    inputs: cones.model_inputs(&joint),
+                    output: o,
+                };
                 break 'outputs;
             }
         }
     }
     CecReport {
         result,
-        sat_stats: solver.stats(),
+        sat_stats: cones.stats(),
         internal_proofs,
         refinements,
         exhaustive: false,
     }
 }
 
-/// The sweeping loop: candidate pairs proven in topological order on
-/// the one incremental solver, each proven equality taught to the
-/// solver before the next proof, with bucket rebuilds after every
-/// refinement. Returns (internal proofs, refinements).
+/// The solver is replaced once it holds more than this many variables
+/// and at least [`RECYCLE_PROOFS`] proofs have run on it. Past this
+/// size it mostly carries the cones of earlier proofs, which later
+/// proofs no longer reach but its decisions and models still cover.
+const RECYCLE_VARS: usize = 500;
+
+/// Proofs a solver must have run before it may be replaced: a fresh
+/// solver for every proof costs more than the search it saves.
+const RECYCLE_PROOFS: u32 = 50;
+
+/// The sweep's SAT side: one incremental solver holding CNF only for
+/// the cones that proofs and output miters have reached. Nodes are
+/// encoded through their proven class representatives, so a merged
+/// node never enters a later cone. Once the solver outgrows the cones
+/// it is replaced by an empty one: proven merges live in the
+/// union-find, so only learnt clauses are lost.
+struct ConeSolver {
+    solver: Solver,
+    /// SAT variable of each loaded class representative.
+    vars: Vec<Option<Var>>,
+    /// Counters of the solvers replaced so far.
+    retired: SolverStats,
+    /// Proofs run on the current solver.
+    proofs: u32,
+    /// Pending nodes of the loading walk (kept to avoid reallocating).
+    stack: Vec<u32>,
+}
+
+impl ConeSolver {
+    fn new(num_nodes: usize) -> Self {
+        ConeSolver {
+            solver: Solver::new(),
+            vars: vec![None; num_nodes],
+            retired: SolverStats::default(),
+            proofs: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// SAT literals of two AIG literals about to be compared, loading
+    /// their cones; replaces the solver first if it has outgrown them.
+    fn pair(&mut self, joint: &Aig, repr: &mut [(u32, bool)], a: Lit, b: Lit) -> (SatLit, SatLit) {
+        if self.proofs >= RECYCLE_PROOFS && self.solver.num_vars() > RECYCLE_VARS {
+            self.retired.absorb(&self.solver.stats());
+            self.solver = Solver::new();
+            self.vars.fill(None);
+            self.proofs = 0;
+        }
+        self.proofs += 1;
+        (self.lit(joint, repr, a), self.lit(joint, repr, b))
+    }
+
+    /// SAT literal of an AIG literal: its class representative's
+    /// variable, complemented by the class phase.
+    fn lit(&mut self, joint: &Aig, repr: &mut [(u32, bool)], l: Lit) -> SatLit {
+        let (root, phase) = find(repr, l.node().index() as u32);
+        self.load(joint, repr, root).lit(phase == l.is_complement())
+    }
+
+    /// Variable of class representative `root`, loading every node of
+    /// its cone that has none yet (an iterative post-order walk). An
+    /// AND's fanins are read through their representatives; the
+    /// constant gets a unit clause, a PI no clause.
+    fn load(&mut self, joint: &Aig, repr: &mut [(u32, bool)], root: u32) -> Var {
+        let mut x = root;
+        loop {
+            if let Some(v) = self.vars[x as usize] {
+                match self.stack.pop() {
+                    Some(waiting) => {
+                        x = waiting;
+                        continue;
+                    }
+                    None => return v,
+                }
+            }
+            let id = NodeId::from_index(x as usize);
+            let fanins = if joint.is_and(id) {
+                let (f0, f1) = joint.fanins(id);
+                let (r0, p0) = find(repr, f0.node().index() as u32);
+                let (r1, p1) = find(repr, f1.node().index() as u32);
+                match (self.vars[r0 as usize], self.vars[r1 as usize]) {
+                    (Some(v0), Some(v1)) => {
+                        Some((v0.lit(p0 == f0.is_complement()), v1.lit(p1 == f1.is_complement())))
+                    }
+                    (None, _) => {
+                        self.stack.push(x);
+                        x = r0;
+                        continue;
+                    }
+                    (_, None) => {
+                        self.stack.push(x);
+                        x = r1;
+                        continue;
+                    }
+                }
+            } else {
+                None
+            };
+            let v = self.solver.new_var();
+            if let Some((la, lb)) = fanins {
+                // v ↔ la ∧ lb
+                let c = v.pos();
+                self.solver.add_clause(&[c.negate(), la]);
+                self.solver.add_clause(&[c.negate(), lb]);
+                self.solver.add_clause(&[c, la.negate(), lb.negate()]);
+            } else if id == NodeId::CONST {
+                self.solver.add_clause(&[v.neg()]);
+            }
+            self.vars[x as usize] = Some(v);
+        }
+    }
+
+    /// PI values of the last model; a PI outside every loaded cone
+    /// reads as `false`.
+    fn model_inputs(&self, joint: &Aig) -> Vec<bool> {
+        joint
+            .pis()
+            .iter()
+            .map(|pi| self.vars[pi.index()].and_then(|v| self.solver.value(v)).unwrap_or(false))
+            .collect()
+    }
+
+    /// Counters of every solver run so far.
+    fn stats(&self) -> SolverStats {
+        let mut total = self.retired;
+        total.absorb(&self.solver.stats());
+        total
+    }
+}
+
+/// The sweeping loop: candidate pairs proven in topological order,
+/// each proven node merged into its representative's class in the
+/// union-find (so cones loaded afterwards read the representative in
+/// its place), with bucket rebuilds after every refinement. Returns
+/// (internal proofs, refinements).
 fn sweep(
     joint: &Aig,
-    solver: &mut Solver,
-    vars: &[Var],
-    repr: &mut Vec<(u32, bool)>,
+    cones: &mut ConeSolver,
+    repr: &mut [(u32, bool)],
     opts: &SweepOptions,
 ) -> (u64, u64) {
     let ids: Vec<NodeId> = joint.and_ids().collect();
@@ -204,66 +338,54 @@ fn sweep(
     // Flat simulation signatures (only needed for candidate
     // detection, so the pure-miter fallback skips the pass).
     let mut sim = SimMatrix::random(joint, opts.sim_words, opts.seed);
-    // Bucket map: complement-normalized signature -> representative.
-    let mut buckets: HashMap<Vec<u64>, u32> = HashMap::new();
-    buckets.insert(vec![0u64; sim.words()], 0);
+    let mut buckets = Buckets::new(joint.num_nodes());
+    buckets.find_or_insert(&sim, NodeId::CONST.index());
     let mut i = 0usize;
     while i < ids.len() {
         let id = ids[i];
-        let (sig_n, phase_n) = norm(sim.sig(id.index()));
-        match buckets.get(&sig_n) {
-            None => {
-                buckets.insert(sig_n, id.index() as u32);
+        let Some(r) = buckets.find_or_insert(&sim, id.index()) else {
+            i += 1;
+            continue;
+        };
+        // Candidate: id == r ^ want_phase.
+        let want_phase = norm_mask(sim.sig(id.index())) != norm_mask(sim.sig(r as usize));
+        // Already known?
+        let (root_n, ph_n) = find(repr, id.index() as u32);
+        let (root_r, ph_r) = find(repr, r);
+        if root_n == root_r {
+            i += 1;
+            continue;
+        }
+        // Prove id ≡ r by refuting both disagreement phases under
+        // assumptions — no miter variables or clauses enter the
+        // solver.
+        let r_lit = Lit::new(NodeId::from_index(r as usize), want_phase);
+        let (ln, lr) = cones.pair(joint, repr, id.lit(), r_lit);
+        match prove_equal(&mut cones.solver, ln, lr, opts.node_budget) {
+            Proof::Equal => {
+                // Proven: merge. Cones loaded from now on read id
+                // through its representative; no loaded clause names
+                // id's fanouts yet, since they come later in
+                // topological order.
+                internal_proofs += 1;
+                repr[root_n as usize] = (root_r, ph_n ^ ph_r ^ want_phase);
                 i += 1;
             }
-            Some(&r) => {
-                // Candidate: id == r ^ (phase_n ^ phase_r).
-                let (_, phase_r) = norm(sim.sig(r as usize));
-                let want_phase = phase_n ^ phase_r;
-                // Already known?
-                let (root_n, ph_n) = find(repr, id.index() as u32);
-                let (root_r, ph_r) = find(repr, r);
-                if root_n == root_r {
-                    i += 1;
-                    continue;
+            Proof::Differ => {
+                // Counterexample: refine every signature with a fresh
+                // word seeded by it, rebuild the buckets, and retry
+                // this node.
+                refinements += 1;
+                sim.refine(joint, &cones.model_inputs(joint));
+                buckets.clear();
+                buckets.find_or_insert(&sim, NodeId::CONST.index());
+                for &prev in ids.iter().take(i) {
+                    buckets.find_or_insert(&sim, prev.index());
                 }
-                // Prove ln ≡ lr by refuting both disagreement
-                // phases under assumptions — no miter variables or
-                // clauses enter the incremental solver.
-                let ln = vars[id.index()].pos();
-                let lr = vars[r as usize].lit(!want_phase);
-                match prove_equal(solver, ln, lr, opts.node_budget) {
-                    Proof::Equal => {
-                        // Proven: record and teach the solver.
-                        internal_proofs += 1;
-                        repr[root_n as usize] = (root_r, ph_n ^ ph_r ^ want_phase);
-                        solver.add_clause(&[ln.negate(), lr]);
-                        solver.add_clause(&[ln, lr.negate()]);
-                        i += 1;
-                    }
-                    Proof::Differ => {
-                        // Counterexample: refine every signature
-                        // with a fresh word seeded by it, rebuild
-                        // the buckets, and retry this node.
-                        refinements += 1;
-                        let cex: Vec<bool> = joint
-                            .pis()
-                            .iter()
-                            .map(|pi| solver.value(vars[pi.index()]).unwrap_or(false))
-                            .collect();
-                        sim.refine(joint, &cex);
-                        buckets.clear();
-                        buckets.insert(vec![0u64; sim.words()], 0);
-                        for &prev in ids.iter().take(i) {
-                            let (s, _) = norm(sim.sig(prev.index()));
-                            buckets.entry(s).or_insert(prev.index() as u32);
-                        }
-                    }
-                    Proof::Unknown => {
-                        // Budget exhausted: treat as distinct.
-                        i += 1;
-                    }
-                }
+            }
+            Proof::Unknown => {
+                // Budget exhausted: treat as distinct.
+                i += 1;
             }
         }
     }
@@ -290,19 +412,60 @@ fn prove_equal(solver: &mut Solver, la: SatLit, lb: SatLit, budget: u64) -> Proo
     Proof::Equal
 }
 
-/// Normalized signature: complement-canonical (flip all words if bit 0
-/// of word 0 is set) so a node and its complement share a bucket.
-fn norm(sig: &[u64]) -> (Vec<u64>, bool) {
-    if sig[0] & 1 == 1 {
-        (sig.iter().map(|w| !w).collect(), true)
-    } else {
-        (sig.to_vec(), false)
+/// End of a [`Buckets`] chain.
+const NIL: u32 = u32::MAX;
+
+/// Candidate buckets: the first node seen with each simulation
+/// signature under [`norm_mask`], so a node and its complement share a
+/// bucket. Signatures are looked up by a 64-bit hash and compared in
+/// place, chained on collision, so no lookup allocates.
+struct Buckets {
+    /// Signature hash -> the node inserted last under it.
+    heads: HashMap<u64, u32>,
+    /// Node -> the node inserted before it under the same hash.
+    next: Vec<u32>,
+}
+
+impl Buckets {
+    fn new(num_nodes: usize) -> Self {
+        Buckets { heads: HashMap::new(), next: vec![NIL; num_nodes] }
     }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+    }
+
+    /// The bucket's node if `node`'s normalized signature already has
+    /// one; otherwise `node` becomes that node and `None` is returned.
+    fn find_or_insert(&mut self, sim: &SimMatrix, node: usize) -> Option<u32> {
+        let sig = sim.sig(node);
+        let flip = norm_mask(sig);
+        let hash = sig.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w ^ flip).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        let mut c = self.heads.get(&hash).copied().unwrap_or(NIL);
+        while c != NIL {
+            let other = sim.sig(c as usize);
+            let other_flip = norm_mask(other);
+            if sig.iter().zip(other).all(|(&w, &o)| w ^ flip == o ^ other_flip) {
+                return Some(c);
+            }
+            c = self.next[c as usize];
+        }
+        self.next[node] = self.heads.insert(hash, node as u32).unwrap_or(NIL);
+        None
+    }
+}
+
+/// The word mask that complement-normalizes a signature: all ones
+/// when bit 0 of word 0 is set (the signature's phase), else zero.
+fn norm_mask(sig: &[u64]) -> u64 {
+    (sig[0] & 1).wrapping_neg()
 }
 
 /// Union-find lookup with path compression; returns the class root and
 /// the phase of `x` relative to it.
-fn find(repr: &mut Vec<(u32, bool)>, x: u32) -> (u32, bool) {
+fn find(repr: &mut [(u32, bool)], x: u32) -> (u32, bool) {
     let (p, ph) = repr[x as usize];
     if p == x {
         return (x, false);
@@ -401,6 +564,56 @@ mod tests {
     }
 
     #[test]
+    fn solver_replacement_keeps_verdicts_and_reports() {
+        // Two 64-bit ripple adders built with different XOR and carry
+        // structures: 128 PIs, 1 140 joint ANDs. The sweep proves 253
+        // pairs, about four per bit, and the representative of bit i's
+        // carry reads the whole carry chain below it, so loaded cones
+        // grow with i. A solver is replaced once it holds more than
+        // RECYCLE_VARS = 500 variables after at least
+        // RECYCLE_PROOFS = 50 proofs: as measured, the first solver
+        // reaches 503 variables at proof 100, and 253 proofs replace
+        // the solver three times.
+        let m1 = ripple_adder(64, false);
+        let m2 = ripple_adder(64, true);
+        let opts = SweepOptions { exhaustive_pis: 0, ..Default::default() };
+
+        // The replacement path runs: some solver was retired.
+        let mut joint = Aig::new("joint");
+        let pis = joint.add_pis(m1.num_pis());
+        append(&m1, &mut joint, &pis);
+        append(&m2, &mut joint, &pis);
+        let n = joint.num_nodes();
+        let mut repr: Vec<(u32, bool)> = (0..n as u32).map(|i| (i, false)).collect();
+        let mut cones = ConeSolver::new(n);
+        let (proofs, _) = sweep(&joint, &mut cones, &mut repr, &opts);
+        assert!(proofs > 2 * u64::from(RECYCLE_PROOFS), "only {proofs} proofs");
+        assert!(cones.retired.propagations > 0, "no solver was replaced");
+
+        let r = check_equivalence_sweeping_report(&m1, &m2, &opts);
+        assert_eq!(r.result, CecResult::Equivalent);
+        assert!(!r.exhaustive);
+        assert_eq!(r.internal_proofs, proofs);
+        // A cold recomputation reproduces the whole report, solver
+        // counters summed over the replaced solvers included.
+        let again = sweeping_report_uncached(&m1, &m2, &opts);
+        assert_eq!(format!("{r:?}"), format!("{again:?}"));
+
+        // A complemented sum bit past the replacements: the output
+        // miter's counterexample comes from the current solver.
+        let mut broken = ripple_adder(64, true);
+        let po = broken.pos()[40];
+        broken.set_po(40, po.negate());
+        match check_equivalence_sweeping_with(&m1, &broken, &opts) {
+            CecResult::Counterexample { inputs, output } => {
+                assert_eq!(output, 40);
+                assert_ne!(m1.eval(&inputs)[output], broken.eval(&inputs)[output]);
+            }
+            CecResult::Equivalent => panic!("broken adder reported equivalent"),
+        }
+    }
+
+    #[test]
     fn zero_node_budget_forces_pure_miter_fallback() {
         let m1 = cntfet_circuits_multiplier_columns(4);
         let m2 = cntfet_circuits_multiplier_shift_add(4);
@@ -410,6 +623,42 @@ mod tests {
         assert_eq!(r.internal_proofs, 0, "budget 0 must skip internal sweeping");
         assert_eq!(r.refinements, 0);
         assert!(!r.exhaustive);
+    }
+
+    /// An `n`-bit ripple-carry adder; `alt` builds every XOR and carry
+    /// in a second structure that strash does not merge with the first.
+    fn ripple_adder(n: usize, alt: bool) -> Aig {
+        let mut g = Aig::new("add");
+        let a = g.add_pis(n);
+        let b = g.add_pis(n);
+        let mut carry = Lit::FALSE;
+        for i in 0..n {
+            let (x, y) = (a[i], b[i]);
+            let (sum, next) = if alt {
+                let xor2 = |g: &mut Aig, p: Lit, q: Lit| {
+                    let either = g.or(p, q);
+                    let both = g.and(p, q);
+                    g.and(either, both.negate())
+                };
+                let p = xor2(&mut g, x, y);
+                let sum = xor2(&mut g, p, carry);
+                let xy = g.and(x, y);
+                let xc = g.and(x, carry);
+                let yc = g.and(y, carry);
+                let xy_xc = g.or(xy, xc);
+                (sum, g.or(xy_xc, yc))
+            } else {
+                let p = g.xor(x, y);
+                let sum = g.xor(p, carry);
+                let xy = g.and(x, y);
+                let pc = g.and(p, carry);
+                (sum, g.or(xy, pc))
+            };
+            g.add_po(sum);
+            carry = next;
+        }
+        g.add_po(carry);
+        g
     }
 
     fn cntfet_circuits_multiplier_columns(n: usize) -> Aig {

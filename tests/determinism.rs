@@ -7,9 +7,9 @@
 //! Result caches are cleared between runs, since their keys hold no
 //! worker count.
 
-use cntfet_aig::{equivalent, Aig, CecResult, PAR_MIN_ANDS};
+use cntfet_aig::{equivalent, Aig, CecReport, CecResult, PAR_MIN_ANDS};
 use cntfet_bench::{clear_result_caches, run_suite_with};
-use cntfet_circuits::array_multiplier;
+use cntfet_circuits::{array_multiplier, des_like, random_logic};
 use cntfet_core::{Library, LogicFamily};
 use cntfet_synth::{resyn2rs, Script};
 use cntfet_techmap::{map, verify_mapping_report, MapOptions, Objective};
@@ -204,10 +204,10 @@ proptest! {
 /// SAT sweeping must not blow up with the worker count. Verifying the
 /// TG-static mapping of the synthesized 16-bit multiplier (the
 /// suite's C6288) at two workers stays within about twice the
-/// conflicts a one-worker run needs (CONFLICTS_AT_ONE_WORKER,
-/// measured); a sweep that proves candidate pairs before the
-/// equalities of their fanin cones are merged needs over a hundred
-/// times more.
+/// conflicts a one-worker run needed (CONFLICTS_AT_ONE_WORKER,
+/// measured; 3 073 since the sweep's SAT search became cone-local);
+/// a sweep that proves candidate pairs before the equalities of their
+/// fanin cones are merged needs over a hundred times more.
 #[test]
 fn c6288_sweep_conflicts_bounded_at_two_workers() {
     const CONFLICTS_AT_ONE_WORKER: u64 = 4312;
@@ -227,19 +227,26 @@ fn c6288_sweep_conflicts_bounded_at_two_workers() {
     );
 }
 
+/// Verifies the TG-static mapping of the synthesized `g` from a cold
+/// CEC result cache.
+fn verify_synthesized_tg_static(g: &Aig) -> CecReport {
+    let lib = Library::new(LogicFamily::TgStatic);
+    let optimized = resyn2rs(g);
+    let m = map(&optimized, &lib, MapOptions::default());
+    cntfet_aig::clear_cec_cache();
+    verify_mapping_report(&optimized, &m, &lib)
+}
+
 /// The 9-bit array multiplier's TG-static mapping (18 PIs, under
 /// 2000 ANDs together with its source) is verified by SAT sweeping
 /// like every other mapping. A per-output miter without sweeping
-/// needs 88 606 conflicts on it; the sweep needs MEASURED_CONFLICTS
-/// (measured, identical at 1, 2 and 4 workers).
+/// needs 88 606 conflicts on it; the sweep needed MEASURED_CONFLICTS
+/// (measured, identical at 1, 2 and 4 workers), and 867 since its SAT
+/// search became cone-local.
 #[test]
 fn mul9_verification_sweeps_with_bounded_conflicts() {
     const MEASURED_CONFLICTS: u64 = 1017;
-    let lib = Library::new(LogicFamily::TgStatic);
-    let optimized = resyn2rs(&array_multiplier(9));
-    let m = map(&optimized, &lib, MapOptions::default());
-    cntfet_aig::clear_cec_cache();
-    let report = verify_mapping_report(&optimized, &m, &lib);
+    let report = verify_synthesized_tg_static(&array_multiplier(9));
     assert_eq!(report.result, CecResult::Equivalent);
     assert!(!report.exhaustive, "18 PIs are past the exhaustive tier");
     assert!(report.internal_proofs > 0, "the sweep must prove internal pairs");
@@ -247,5 +254,43 @@ fn mul9_verification_sweeps_with_bounded_conflicts() {
         report.sat_stats.conflicts <= 2 * MEASURED_CONFLICTS,
         "mul-9 verification needed {} conflicts",
         report.sat_stats.conflicts
+    );
+}
+
+/// SAT search in the sweep stays inside the cones being compared.
+/// The suite's des verifies with PROOFS internal proofs. Loading the
+/// CNF of the whole joint network up front, the search took 2 911 127
+/// propagations; loaded cone by cone through proven representatives
+/// on a solver replaced once it outgrows the cones, it takes
+/// MEASURED_PROPAGATIONS (identical at 1, 2 and 4 workers).
+#[test]
+fn des_verification_search_stays_cone_local() {
+    const PROOFS: u64 = 5173;
+    const MEASURED_PROPAGATIONS: u64 = 304_211;
+    let report = verify_synthesized_tg_static(&des_like());
+    assert_eq!(report.result, CecResult::Equivalent);
+    assert_eq!(report.internal_proofs, PROOFS);
+    assert!(
+        report.sat_stats.propagations <= 2 * MEASURED_PROPAGATIONS,
+        "des verification needed {} propagations",
+        report.sat_stats.propagations
+    );
+}
+
+/// The suite's i10 (random logic, 257 PIs): PROOFS internal proofs;
+/// 3 319 091 propagations with the whole joint network loaded up
+/// front, MEASURED_PROPAGATIONS cone by cone (identical at 1, 2 and 4
+/// workers).
+#[test]
+fn i10_verification_search_stays_cone_local() {
+    const PROOFS: u64 = 3406;
+    const MEASURED_PROPAGATIONS: u64 = 506_297;
+    let report = verify_synthesized_tg_static(&random_logic("i10", 257, 224, 0x1010));
+    assert_eq!(report.result, CecResult::Equivalent);
+    assert_eq!(report.internal_proofs, PROOFS);
+    assert!(
+        report.sat_stats.propagations <= 2 * MEASURED_PROPAGATIONS,
+        "i10 verification needed {} propagations",
+        report.sat_stats.propagations
     );
 }
